@@ -11,8 +11,8 @@ use simdbench_core::edge::edge_detect;
 use simdbench_core::gaussian::gaussian_blur;
 use simdbench_core::kernelgen::paper_gaussian_kernel;
 use simdbench_core::pipeline::{
-    fused_edge_detect_with, fused_gaussian_blur_with, fused_sobel_with, par_fused_edge_detect_with,
-    BandPlan,
+    try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
+    try_par_fused_edge_detect_with, BandPlan,
 };
 use simdbench_core::scratch::Scratch;
 use simdbench_core::sobel::{sobel, SobelDirection};
@@ -33,7 +33,9 @@ fn bench_fused_gaussian(c: &mut Criterion) {
             b.iter(|| gaussian_blur(&src, &mut dst, ENGINE))
         });
         group.bench_with_input(BenchmarkId::new("fused", res.label()), &(), |b, _| {
-            b.iter(|| fused_gaussian_blur_with(&src, &mut dst, &kernel, ENGINE, &mut scratch))
+            b.iter(|| {
+                try_fused_gaussian_blur_with(&src, &mut dst, &kernel, ENGINE, &mut scratch).unwrap()
+            })
         });
     }
     group.finish();
@@ -51,7 +53,10 @@ fn bench_fused_sobel(c: &mut Criterion) {
             b.iter(|| sobel(&src, &mut dst, SobelDirection::X, ENGINE))
         });
         group.bench_with_input(BenchmarkId::new("fused", res.label()), &(), |b, _| {
-            b.iter(|| fused_sobel_with(&src, &mut dst, SobelDirection::X, ENGINE, &mut scratch))
+            b.iter(|| {
+                try_fused_sobel_with(&src, &mut dst, SobelDirection::X, ENGINE, &mut scratch)
+                    .unwrap()
+            })
         });
     }
     group.finish();
@@ -70,10 +75,10 @@ fn bench_fused_edge(c: &mut Criterion) {
             b.iter(|| edge_detect(&src, &mut dst, 96, ENGINE))
         });
         group.bench_with_input(BenchmarkId::new("fused", res.label()), &(), |b, _| {
-            b.iter(|| fused_edge_detect_with(&src, &mut dst, 96, ENGINE, &mut scratch))
+            b.iter(|| try_fused_edge_detect_with(&src, &mut dst, 96, ENGINE, &mut scratch).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("par_fused", res.label()), &(), |b, _| {
-            b.iter(|| par_fused_edge_detect_with(&src, &mut dst, 96, ENGINE, &plan))
+            b.iter(|| try_par_fused_edge_detect_with(&src, &mut dst, 96, ENGINE, &plan).unwrap())
         });
     }
     group.finish();

@@ -62,8 +62,9 @@ pub mod prelude {
     pub use crate::error::{KernelError, KernelResult};
     pub use crate::gaussian::gaussian_blur;
     pub use crate::pipeline::{
-        fused_edge_detect, fused_gaussian_blur, fused_sobel, par_fused_edge_detect,
-        par_fused_gaussian_blur, par_fused_sobel, BandPlan,
+        try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
+        try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
+        BandPlan,
     };
     pub use crate::scratch::Scratch;
     pub use crate::sobel::{sobel, SobelDirection};

@@ -14,9 +14,10 @@
 
 use crate::convert::convert_row;
 use crate::dispatch::Engine;
-use crate::kernelgen::{paper_gaussian_kernel, FixedKernel};
+use crate::kernelgen::paper_gaussian_kernel;
 use crate::pipeline::{
-    par_fused_edge_detect_with, par_fused_gaussian_blur_with, par_fused_sobel_with, BandPlan,
+    try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
+    BandPlan,
 };
 use crate::sobel::SobelDirection;
 use crate::threshold::{threshold_row, ThresholdType};
@@ -63,37 +64,33 @@ pub fn par_threshold_u8(
         .for_each(|(y, drow)| threshold_row(src.row(y), drow, thresh, maxval, ty, engine));
 }
 
-/// Row-parallel Gaussian blur (σ=1, 7 taps — the paper configuration).
+/// Band-parallel Gaussian blur (σ=1, 7 taps — the paper configuration)
+/// via the fused pipeline: no intermediate image; band workspaces come
+/// from the pool workers' thread-local arenas.
 pub fn par_gaussian_blur(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
-    par_gaussian_blur_kernel(src, dst, &paper_gaussian_kernel(), engine);
-}
-
-/// Band-parallel Gaussian blur with an explicit kernel, via the fused
-/// pipeline: no intermediate image; band workspaces come from the pool
-/// workers' thread-local arenas.
-pub fn par_gaussian_blur_kernel(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    kernel: &FixedKernel,
-    engine: Engine,
-) {
     let plan = BandPlan::for_width(src.width());
-    par_fused_gaussian_blur_with(src, dst, kernel, engine, &plan);
+    let kernel = paper_gaussian_kernel();
+    if let Err(e) = try_par_fused_gaussian_blur_with(src, dst, &kernel, engine, &plan) {
+        e.panic_or_ignore();
+    }
 }
 
 /// Band-parallel Sobel gradient via the fused pipeline.
 pub fn par_sobel(src: &Image<u8>, dst: &mut Image<i16>, dir: SobelDirection, engine: Engine) {
     let plan = BandPlan::for_width(src.width());
-    par_fused_sobel_with(src, dst, dir, engine, &plan);
+    if let Err(e) = try_par_fused_sobel_with(src, dst, dir, engine, &plan) {
+        e.panic_or_ignore();
+    }
 }
 
-/// Band-parallel edge detection via the fused pipeline: the former
-/// implementation ran two full `par_sobel` passes into gradient images and
-/// allocated a magnitude row per output row; this runs the whole
-/// Sobel×2 → magnitude → threshold chain per band with pooled buffers.
+/// Band-parallel edge detection via the fused pipeline: the whole
+/// Sobel×2 → magnitude → threshold chain runs per band with pooled
+/// buffers, never materialising the gradient images.
 pub fn par_edge_detect(src: &Image<u8>, dst: &mut Image<u8>, thresh: u8, engine: Engine) {
     let plan = BandPlan::for_width(src.width());
-    par_fused_edge_detect_with(src, dst, thresh, engine, &plan);
+    if let Err(e) = try_par_fused_edge_detect_with(src, dst, thresh, engine, &plan) {
+        e.panic_or_ignore();
+    }
 }
 
 #[cfg(test)]

@@ -22,26 +22,25 @@
 //! from its per-platform cache descriptions; [`BandPlan::for_width`] uses
 //! conservative defaults.
 //!
+//! The public surface is six fallible entry points, a serial
+//! `try_fused_*_with` and a pool-parallel `try_par_fused_*_with` per
+//! kernel, all thin calls into one private driver that owns validation,
+//! failpoints, workspace checkout, band slicing and fault conversion.
+//!
 //! Buffers come from a [`Scratch`] arena. The sequential entry points use
-//! a caller-owned arena; the parallel drivers hand bands to the
+//! a caller-owned arena; the parallel entry points hand bands to the
 //! persistent worker pool (`shim-rayon`), where each worker owns a
 //! thread-local arena ([`crate::scratch::with_worker_workspace`]) that
 //! lives as long as the worker thread. Either way, steady-state calls
 //! perform zero heap allocations inside the band loops (see
 //! `tests/fused_zero_alloc.rs` for the allocator-level proof of both
 //! paths).
-//!
-//! For dispatch-overhead measurements the `par_fused_*_spawn_baseline`
-//! drivers reproduce the pre-pool scheduling — scoped OS threads spawned
-//! and joined on every call, with per-call workspace allocation. They
-//! exist only so `bench dispatch_overhead` and `repro parallel` can put a
-//! number on what the persistent pool saves.
 
 use crate::dispatch::Engine;
 use crate::edge::magnitude_row;
 use crate::error::{validate_pair, KernelError, KernelResult};
 use crate::gaussian::{horizontal_row, vertical_row};
-use crate::kernelgen::{paper_gaussian_kernel, FixedKernel};
+use crate::kernelgen::FixedKernel;
 use crate::scratch::{with_worker_workspace, BandWorkspace, Scratch, WorkspaceSpec, MAX_TAPS};
 use crate::sobel::{h_diff_row, h_smooth_row, v_diff_row, v_smooth_row, SobelDirection};
 use crate::threshold::{threshold_row, ThresholdType};
@@ -178,34 +177,15 @@ impl Drop for BandTelemetry {
 // Fused Gaussian
 // ---------------------------------------------------------------------------
 
-/// Fused Gaussian blur, paper configuration (σ = 1, 7 taps).
-pub fn fused_gaussian_blur(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
-    let mut scratch = Scratch::new();
-    fused_gaussian_blur_with(src, dst, &paper_gaussian_kernel(), engine, &mut scratch);
-}
-
-/// Fused Gaussian blur with an explicit kernel and caller-owned scratch.
+/// Fused Gaussian blur with an explicit kernel and a caller-owned arena.
 ///
 /// Bit-identical to [`crate::gaussian::gaussian_blur_kernel`] for every
-/// engine. Kernels longer than [`MAX_TAPS`] taps fall back to the
-/// two-pass implementation (they exceed the fixed-size ring/tap arrays).
-pub fn fused_gaussian_blur_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    kernel: &FixedKernel,
-    engine: Engine,
-    scratch: &mut Scratch,
-) {
-    if let Err(e) = try_fused_gaussian_blur_with(src, dst, kernel, engine, scratch) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`fused_gaussian_blur_with`]: validates geometry and
-/// kernel normalisation instead of asserting, surfaces arena exhaustion
-/// from a capped [`Scratch`], and converts faultline-injected band panics
-/// into [`KernelError::FaultInjected`] (with the workspace returned to
-/// the arena either way).
+/// engine. Validates geometry and kernel normalisation, surfaces arena
+/// exhaustion from a capped [`Scratch`], and converts faultline-injected
+/// band panics into [`KernelError::FaultInjected`] (with the workspace
+/// returned to the arena either way). Kernels longer than [`MAX_TAPS`]
+/// taps fall back to the two-pass implementation (they exceed the
+/// fixed-size ring/tap arrays).
 pub fn try_fused_gaussian_blur_with(
     src: &Image<u8>,
     dst: &mut Image<u8>,
@@ -213,22 +193,45 @@ pub fn try_fused_gaussian_blur_with(
     engine: Engine,
     scratch: &mut Scratch,
 ) -> KernelResult {
-    let _span = obs::span("fused.gaussian");
-    validate_pair(src, dst)?;
-    if kernel.sum() != 256 {
-        return Err(KernelError::BadKernel { sum: kernel.sum() });
-    }
-    if let Some(fault) = faultline::inject("fused.entry") {
-        return Err(fault.into());
-    }
-    if kernel.len() > MAX_TAPS {
-        return crate::gaussian::try_gaussian_blur_kernel(src, dst, kernel, engine);
-    }
-    let (width, height, stride) = (src.width(), src.height(), dst.stride());
-    let mut co = scratch.try_checkout_guarded(WorkspaceSpec::gaussian(width, kernel.len()))?;
-    let dst_band = &mut dst.as_mut_slice()[..(height - 1) * stride + width];
-    let ws = co.ws();
-    catching_injected(move || gaussian_band(src, dst_band, stride, 0, height, kernel, engine, ws))
+    gaussian_op(Exec::Serial(scratch), src, dst, kernel, engine)
+}
+
+/// Band-parallel fused Gaussian blur on the persistent worker pool.
+/// Bit-identical to the sequential kernels for every engine. Workspaces
+/// come from the workers' thread-local arenas; faultline-injected worker
+/// panics (re-raised by the pool at the submitting thread) surface as
+/// [`KernelError::FaultInjected`].
+pub fn try_par_fused_gaussian_blur_with(
+    src: &Image<u8>,
+    dst: &mut Image<u8>,
+    kernel: &FixedKernel,
+    engine: Engine,
+    plan: &BandPlan,
+) -> KernelResult {
+    gaussian_op(Exec::Pool(plan), src, dst, kernel, engine)
+}
+
+/// Shared body of the two fused Gaussian entry points.
+fn gaussian_op(
+    exec: Exec<'_>,
+    src: &Image<u8>,
+    dst: &mut Image<u8>,
+    kernel: &FixedKernel,
+    engine: Engine,
+) -> KernelResult {
+    let stride = dst.stride();
+    let spec = WorkspaceSpec::gaussian(src.width(), kernel.len());
+    let two_pass =
+        |dst: &mut Image<u8>| crate::gaussian::try_gaussian_blur_kernel(src, dst, kernel, engine);
+    drive(
+        exec,
+        ["fused.gaussian", "par_fused.gaussian"],
+        src,
+        dst,
+        spec,
+        Some((kernel, &two_pass)),
+        move |b, d, ws| gaussian_band(src, d, stride, b.y0, b.y1, kernel, engine, ws),
+    )
 }
 
 /// Runs the fused Gaussian over dst rows `[y0, y1)`.
@@ -289,27 +292,9 @@ fn gaussian_band(
 // Fused Sobel
 // ---------------------------------------------------------------------------
 
-/// Fused Sobel gradient. Bit-identical to [`crate::sobel::sobel`].
-pub fn fused_sobel(src: &Image<u8>, dst: &mut Image<i16>, dir: SobelDirection, engine: Engine) {
-    let mut scratch = Scratch::new();
-    fused_sobel_with(src, dst, dir, engine, &mut scratch);
-}
-
-/// Fused Sobel gradient with caller-owned scratch.
-pub fn fused_sobel_with(
-    src: &Image<u8>,
-    dst: &mut Image<i16>,
-    dir: SobelDirection,
-    engine: Engine,
-    scratch: &mut Scratch,
-) {
-    if let Err(e) = try_fused_sobel_with(src, dst, dir, engine, scratch) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`fused_sobel_with`] (see
-/// [`try_fused_gaussian_blur_with`] for the error contract).
+/// Fused Sobel gradient with a caller-owned arena. Bit-identical to
+/// [`crate::sobel::sobel`] (see [`try_fused_gaussian_blur_with`] for the
+/// error contract).
 pub fn try_fused_sobel_with(
     src: &Image<u8>,
     dst: &mut Image<i16>,
@@ -317,16 +302,35 @@ pub fn try_fused_sobel_with(
     engine: Engine,
     scratch: &mut Scratch,
 ) -> KernelResult {
-    let _span = obs::span("fused.sobel");
-    validate_pair(src, dst)?;
-    if let Some(fault) = faultline::inject("fused.entry") {
-        return Err(fault.into());
-    }
-    let (width, height, stride) = (src.width(), src.height(), dst.stride());
-    let mut co = scratch.try_checkout_guarded(WorkspaceSpec::sobel(width))?;
-    let dst_band = &mut dst.as_mut_slice()[..(height - 1) * stride + width];
-    let ws = co.ws();
-    catching_injected(move || sobel_band(src, dst_band, stride, 0, height, dir, engine, ws))
+    sobel_op(Exec::Serial(scratch), src, dst, dir, engine)
+}
+
+/// Band-parallel fused Sobel on the persistent worker pool (see
+/// [`try_par_fused_gaussian_blur_with`] for the error contract).
+pub fn try_par_fused_sobel_with(
+    src: &Image<u8>,
+    dst: &mut Image<i16>,
+    dir: SobelDirection,
+    engine: Engine,
+    plan: &BandPlan,
+) -> KernelResult {
+    sobel_op(Exec::Pool(plan), src, dst, dir, engine)
+}
+
+/// Shared body of the two fused Sobel entry points.
+fn sobel_op(
+    exec: Exec<'_>,
+    src: &Image<u8>,
+    dst: &mut Image<i16>,
+    dir: SobelDirection,
+    engine: Engine,
+) -> KernelResult {
+    let stride = dst.stride();
+    let spec = WorkspaceSpec::sobel(src.width());
+    let spans = ["fused.sobel", "par_fused.sobel"];
+    drive(exec, spans, src, dst, spec, None, move |b, d, ws| {
+        sobel_band(src, d, stride, b.y0, b.y1, dir, engine, ws)
+    })
 }
 
 /// Runs the fused Sobel over dst rows `[y0, y1)` (band-relative slice, as
@@ -375,28 +379,10 @@ fn sobel_band(
 // ---------------------------------------------------------------------------
 
 /// Fused edge detection (Sobel X + Sobel Y → L1 magnitude → binary
-/// threshold). Bit-identical to [`crate::edge::edge_detect`] while never
-/// materialising the two gradient images.
-pub fn fused_edge_detect(src: &Image<u8>, dst: &mut Image<u8>, thresh: u8, engine: Engine) {
-    let mut scratch = Scratch::new();
-    fused_edge_detect_with(src, dst, thresh, engine, &mut scratch);
-}
-
-/// Fused edge detection with caller-owned scratch.
-pub fn fused_edge_detect_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    thresh: u8,
-    engine: Engine,
-    scratch: &mut Scratch,
-) {
-    if let Err(e) = try_fused_edge_detect_with(src, dst, thresh, engine, scratch) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`fused_edge_detect_with`] (see
-/// [`try_fused_gaussian_blur_with`] for the error contract).
+/// threshold) with a caller-owned arena. Bit-identical to
+/// [`crate::edge::edge_detect`] while never materialising the two
+/// gradient images (see [`try_fused_gaussian_blur_with`] for the error
+/// contract).
 pub fn try_fused_edge_detect_with(
     src: &Image<u8>,
     dst: &mut Image<u8>,
@@ -404,16 +390,35 @@ pub fn try_fused_edge_detect_with(
     engine: Engine,
     scratch: &mut Scratch,
 ) -> KernelResult {
-    let _span = obs::span("fused.edge");
-    validate_pair(src, dst)?;
-    if let Some(fault) = faultline::inject("fused.entry") {
-        return Err(fault.into());
-    }
-    let (width, height, stride) = (src.width(), src.height(), dst.stride());
-    let mut co = scratch.try_checkout_guarded(WorkspaceSpec::edge(width))?;
-    let dst_band = &mut dst.as_mut_slice()[..(height - 1) * stride + width];
-    let ws = co.ws();
-    catching_injected(move || edge_band(src, dst_band, stride, 0, height, thresh, engine, ws))
+    edge_op(Exec::Serial(scratch), src, dst, thresh, engine)
+}
+
+/// Band-parallel fused edge detection on the persistent worker pool (see
+/// [`try_par_fused_gaussian_blur_with`] for the error contract).
+pub fn try_par_fused_edge_detect_with(
+    src: &Image<u8>,
+    dst: &mut Image<u8>,
+    thresh: u8,
+    engine: Engine,
+    plan: &BandPlan,
+) -> KernelResult {
+    edge_op(Exec::Pool(plan), src, dst, thresh, engine)
+}
+
+/// Shared body of the two fused edge entry points.
+fn edge_op(
+    exec: Exec<'_>,
+    src: &Image<u8>,
+    dst: &mut Image<u8>,
+    thresh: u8,
+    engine: Engine,
+) -> KernelResult {
+    let stride = dst.stride();
+    let spec = WorkspaceSpec::edge(src.width());
+    let spans = ["fused.edge", "par_fused.edge"];
+    drive(exec, spans, src, dst, spec, None, move |b, d, ws| {
+        edge_band(src, d, stride, b.y0, b.y1, thresh, engine, ws)
+    })
 }
 
 /// Runs the fused edge chain over dst rows `[y0, y1)`.
@@ -489,7 +494,7 @@ fn edge_band(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel band drivers
+// Driver
 // ---------------------------------------------------------------------------
 
 /// One parallel work item: a band's row range and its destination slice.
@@ -558,254 +563,77 @@ where
     });
 }
 
-/// The pre-pool parallel driver, kept only as the dispatch-overhead
-/// baseline: spawns fresh scoped OS threads on **every call** (one per
-/// static chunk of bands) and allocates fresh workspaces per call —
-/// exactly the costs the persistent pool amortises away. Not used by any
-/// production path.
-fn run_bands_spawn<T, F>(items: Vec<BandItem<'_, T>>, spec: WorkspaceSpec, work: F)
+/// Where a fused call runs its bands.
+enum Exec<'a> {
+    /// One band covering the whole image, on the calling thread, with a
+    /// workspace from the caller's arena.
+    Serial(&'a mut Scratch),
+    /// The plan's bands on the persistent worker pool, each with a
+    /// workspace from its worker's thread-local arena.
+    Pool(&'a BandPlan),
+}
+
+/// A Gaussian call's kernel, and the two-pass kernel that runs instead
+/// when the kernel is longer than the ring ([`MAX_TAPS`]).
+type Taps<'a, T> = (&'a FixedKernel, &'a dyn Fn(&mut Image<T>) -> KernelResult);
+
+/// The one driver behind every entry point. In order: the entry span
+/// (`spans` names the serial and the pool one), geometry validation, the
+/// kernel's Q8 check, the entry failpoint, the two-pass fallback for long
+/// kernels, workspace checkout, band slicing, and the band body under
+/// [`catching_injected`].
+fn drive<T, F>(
+    exec: Exec<'_>,
+    spans: [&'static str; 2],
+    src: &Image<u8>,
+    dst: &mut Image<T>,
+    spec: WorkspaceSpec,
+    taps: Option<Taps<'_, T>>,
+    band: F,
+) -> KernelResult
 where
     T: simd_vector::align::Pod + Send,
     F: Fn(&BandItem<'_, T>, &mut [T], &mut BandWorkspace) + Send + Sync,
 {
-    let threads = rayon::current_num_threads().max(1);
-    let work_ref = &work;
-    let run_batch = |batch: Vec<BandItem<'_, T>>| {
-        let mut scratch = Scratch::new();
-        let mut ws = scratch.checkout(spec);
-        for mut item in batch {
-            let dst = std::mem::take(&mut item.dst);
-            work_ref(&item, dst, &mut ws);
-        }
-        scratch.give_back(ws);
+    let (span, failpoint) = match exec {
+        Exec::Serial(_) => (spans[0], "fused.entry"),
+        Exec::Pool(_) => (spans[1], "par_fused.entry"),
     };
-    if threads == 1 || items.len() <= 1 {
-        run_batch(items);
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut items = items;
-    let run_batch = &run_batch;
-    std::thread::scope(|s| {
-        while !items.is_empty() {
-            let take = chunk.min(items.len());
-            let batch: Vec<BandItem<'_, T>> = items.drain(..take).collect();
-            s.spawn(move || run_batch(batch));
+    let _span = obs::span(span);
+    validate_pair(src, dst)?;
+    if let Some((kernel, _)) = taps {
+        if kernel.sum() != 256 {
+            return Err(KernelError::BadKernel { sum: kernel.sum() });
         }
-    });
-}
-
-/// Band-parallel fused Gaussian blur (paper kernel, default plan).
-pub fn par_fused_gaussian_blur(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
-    let plan = BandPlan::for_width(src.width());
-    par_fused_gaussian_blur_with(src, dst, &paper_gaussian_kernel(), engine, &plan);
-}
-
-/// Band-parallel fused Gaussian blur with explicit kernel and plan, run
-/// on the persistent worker pool. Bit-identical to the sequential kernels
-/// for every engine. Workspaces come from the workers' thread-local
-/// arenas; there is no caller-owned scratch on the parallel path.
-pub fn par_fused_gaussian_blur_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    kernel: &FixedKernel,
-    engine: Engine,
-    plan: &BandPlan,
-) {
-    if let Err(e) = try_par_fused_gaussian_blur_with(src, dst, kernel, engine, plan) {
-        e.panic_or_ignore();
     }
-}
-
-/// Fallible form of [`par_fused_gaussian_blur_with`]: validates instead
-/// of asserting, and surfaces faultline-injected worker panics (re-raised
-/// by the pool at the submitting thread) as
-/// [`KernelError::FaultInjected`].
-pub fn try_par_fused_gaussian_blur_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    kernel: &FixedKernel,
-    engine: Engine,
-    plan: &BandPlan,
-) -> KernelResult {
-    let _span = obs::span("par_fused.gaussian");
-    validate_pair(src, dst)?;
-    if kernel.sum() != 256 {
-        return Err(KernelError::BadKernel { sum: kernel.sum() });
-    }
-    if let Some(fault) = faultline::inject("par_fused.entry") {
+    if let Some(fault) = faultline::inject(failpoint) {
         return Err(fault.into());
     }
-    if kernel.len() > MAX_TAPS {
-        return crate::gaussian::try_gaussian_blur_kernel(src, dst, kernel, engine);
+    if let Some((kernel, two_pass)) = taps {
+        if kernel.len() > MAX_TAPS {
+            return two_pass(dst);
+        }
     }
-    let stride = dst.stride();
-    let items = band_items(dst, plan);
-    let spec = WorkspaceSpec::gaussian(src.width(), kernel.len());
-    catching_injected(|| {
-        run_bands(items, spec, |item, dst_band, ws| {
-            gaussian_band(src, dst_band, stride, item.y0, item.y1, kernel, engine, ws);
-        });
-    })
-}
-
-/// [`par_fused_gaussian_blur_with`] scheduled by per-call thread spawning
-/// (the dispatch-overhead baseline; see [`run_bands_spawn`]).
-pub fn par_fused_gaussian_blur_spawn_baseline(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    kernel: &FixedKernel,
-    engine: Engine,
-    plan: &BandPlan,
-) {
-    assert_eq!(src.width(), dst.width(), "width mismatch");
-    assert_eq!(src.height(), dst.height(), "height mismatch");
-    assert_eq!(kernel.sum(), 256, "kernel must be Q8-normalised");
-    if kernel.len() > MAX_TAPS {
-        crate::gaussian::gaussian_blur_kernel(src, dst, kernel, engine);
-        return;
+    match exec {
+        Exec::Serial(scratch) => {
+            // `band_items` with a single band, built in place so a warm
+            // serial call stays free of heap allocations.
+            let mut co = scratch.try_checkout_guarded(spec)?;
+            let (width, height, stride) = (dst.width(), dst.height(), dst.stride());
+            let whole = BandItem {
+                y0: 0,
+                y1: height,
+                dst: &mut [],
+            };
+            let dst_band = &mut dst.as_mut_slice()[..(height - 1) * stride + width];
+            let ws = co.ws();
+            catching_injected(move || band(&whole, dst_band, ws))
+        }
+        Exec::Pool(plan) => {
+            let items = band_items(dst, plan);
+            catching_injected(|| run_bands(items, spec, band))
+        }
     }
-    if src.height() == 0 {
-        return;
-    }
-    let stride = dst.stride();
-    let items = band_items(dst, plan);
-    let spec = WorkspaceSpec::gaussian(src.width(), kernel.len());
-    run_bands_spawn(items, spec, |item, dst_band, ws| {
-        gaussian_band(src, dst_band, stride, item.y0, item.y1, kernel, engine, ws);
-    });
-}
-
-/// Band-parallel fused Sobel (default plan).
-pub fn par_fused_sobel(src: &Image<u8>, dst: &mut Image<i16>, dir: SobelDirection, engine: Engine) {
-    let plan = BandPlan::for_width(src.width());
-    par_fused_sobel_with(src, dst, dir, engine, &plan);
-}
-
-/// Band-parallel fused Sobel with explicit plan, run on the persistent
-/// worker pool.
-pub fn par_fused_sobel_with(
-    src: &Image<u8>,
-    dst: &mut Image<i16>,
-    dir: SobelDirection,
-    engine: Engine,
-    plan: &BandPlan,
-) {
-    if let Err(e) = try_par_fused_sobel_with(src, dst, dir, engine, plan) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`par_fused_sobel_with`] (see
-/// [`try_par_fused_gaussian_blur_with`] for the error contract).
-pub fn try_par_fused_sobel_with(
-    src: &Image<u8>,
-    dst: &mut Image<i16>,
-    dir: SobelDirection,
-    engine: Engine,
-    plan: &BandPlan,
-) -> KernelResult {
-    let _span = obs::span("par_fused.sobel");
-    validate_pair(src, dst)?;
-    if let Some(fault) = faultline::inject("par_fused.entry") {
-        return Err(fault.into());
-    }
-    let stride = dst.stride();
-    let items = band_items(dst, plan);
-    let spec = WorkspaceSpec::sobel(src.width());
-    catching_injected(|| {
-        run_bands(items, spec, |item, dst_band, ws| {
-            sobel_band(src, dst_band, stride, item.y0, item.y1, dir, engine, ws);
-        });
-    })
-}
-
-/// [`par_fused_sobel_with`] scheduled by per-call thread spawning (the
-/// dispatch-overhead baseline).
-pub fn par_fused_sobel_spawn_baseline(
-    src: &Image<u8>,
-    dst: &mut Image<i16>,
-    dir: SobelDirection,
-    engine: Engine,
-    plan: &BandPlan,
-) {
-    assert_eq!(src.width(), dst.width(), "width mismatch");
-    assert_eq!(src.height(), dst.height(), "height mismatch");
-    if src.height() == 0 {
-        return;
-    }
-    let stride = dst.stride();
-    let items = band_items(dst, plan);
-    let spec = WorkspaceSpec::sobel(src.width());
-    run_bands_spawn(items, spec, |item, dst_band, ws| {
-        sobel_band(src, dst_band, stride, item.y0, item.y1, dir, engine, ws);
-    });
-}
-
-/// Band-parallel fused edge detection (default plan).
-pub fn par_fused_edge_detect(src: &Image<u8>, dst: &mut Image<u8>, thresh: u8, engine: Engine) {
-    let plan = BandPlan::for_width(src.width());
-    par_fused_edge_detect_with(src, dst, thresh, engine, &plan);
-}
-
-/// Band-parallel fused edge detection with explicit plan, run on the
-/// persistent worker pool.
-pub fn par_fused_edge_detect_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    thresh: u8,
-    engine: Engine,
-    plan: &BandPlan,
-) {
-    if let Err(e) = try_par_fused_edge_detect_with(src, dst, thresh, engine, plan) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`par_fused_edge_detect_with`] (see
-/// [`try_par_fused_gaussian_blur_with`] for the error contract).
-pub fn try_par_fused_edge_detect_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    thresh: u8,
-    engine: Engine,
-    plan: &BandPlan,
-) -> KernelResult {
-    let _span = obs::span("par_fused.edge");
-    validate_pair(src, dst)?;
-    if let Some(fault) = faultline::inject("par_fused.entry") {
-        return Err(fault.into());
-    }
-    let stride = dst.stride();
-    let items = band_items(dst, plan);
-    let spec = WorkspaceSpec::edge(src.width());
-    catching_injected(|| {
-        run_bands(items, spec, |item, dst_band, ws| {
-            edge_band(src, dst_band, stride, item.y0, item.y1, thresh, engine, ws);
-        });
-    })
-}
-
-/// [`par_fused_edge_detect_with`] scheduled by per-call thread spawning
-/// (the dispatch-overhead baseline).
-pub fn par_fused_edge_detect_spawn_baseline(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    thresh: u8,
-    engine: Engine,
-    plan: &BandPlan,
-) {
-    assert_eq!(src.width(), dst.width(), "width mismatch");
-    assert_eq!(src.height(), dst.height(), "height mismatch");
-    if src.height() == 0 {
-        return;
-    }
-    let stride = dst.stride();
-    let items = band_items(dst, plan);
-    let spec = WorkspaceSpec::edge(src.width());
-    run_bands_spawn(items, spec, |item, dst_band, ws| {
-        edge_band(src, dst_band, stride, item.y0, item.y1, thresh, engine, ws);
-    });
 }
 
 #[cfg(test)]
@@ -813,6 +641,7 @@ mod tests {
     use super::*;
     use crate::edge::edge_detect;
     use crate::gaussian::gaussian_blur;
+    use crate::kernelgen::paper_gaussian_kernel;
     use crate::sobel::sobel;
     use pixelimage::synthetic_image;
 
@@ -851,11 +680,13 @@ mod tests {
     #[test]
     fn fused_gaussian_matches_two_pass_all_engines() {
         let src = synthetic_image(83, 37, 101);
+        let kernel = paper_gaussian_kernel();
         for engine in Engine::ALL {
             let mut two_pass = Image::new(83, 37);
             gaussian_blur(&src, &mut two_pass, engine);
             let mut fused = Image::new(83, 37);
-            fused_gaussian_blur(&src, &mut fused, engine);
+            try_fused_gaussian_blur_with(&src, &mut fused, &kernel, engine, &mut Scratch::new())
+                .unwrap();
             assert!(fused.pixels_eq(&two_pass), "{engine:?}");
         }
     }
@@ -868,7 +699,7 @@ mod tests {
                 let mut two_pass = Image::new(85, 33);
                 sobel(&src, &mut two_pass, dir, engine);
                 let mut fused = Image::new(85, 33);
-                fused_sobel(&src, &mut fused, dir, engine);
+                try_fused_sobel_with(&src, &mut fused, dir, engine, &mut Scratch::new()).unwrap();
                 assert!(fused.pixels_eq(&two_pass), "{dir:?} {engine:?}");
             }
         }
@@ -881,7 +712,7 @@ mod tests {
             let mut two_pass = Image::new(73, 41);
             edge_detect(&src, &mut two_pass, 96, engine);
             let mut fused = Image::new(73, 41);
-            fused_edge_detect(&src, &mut fused, 96, engine);
+            try_fused_edge_detect_with(&src, &mut fused, 96, engine, &mut Scratch::new()).unwrap();
             assert!(fused.pixels_eq(&two_pass), "{engine:?}");
         }
     }
@@ -896,74 +727,27 @@ mod tests {
         let mut expect_u8 = Image::new(61, 47);
         gaussian_blur(&src, &mut expect_u8, Engine::Native);
         let mut got = Image::new(61, 47);
-        par_fused_gaussian_blur_with(
+        try_par_fused_gaussian_blur_with(
             &src,
             &mut got,
             &paper_gaussian_kernel(),
             Engine::Native,
             &plan,
-        );
+        )
+        .unwrap();
         assert!(got.pixels_eq(&expect_u8), "gaussian");
 
         for dir in [SobelDirection::X, SobelDirection::Y] {
             let mut expect_i16 = Image::new(61, 47);
             sobel(&src, &mut expect_i16, dir, Engine::Native);
             let mut got = Image::new(61, 47);
-            par_fused_sobel_with(&src, &mut got, dir, Engine::Native, &plan);
+            try_par_fused_sobel_with(&src, &mut got, dir, Engine::Native, &plan).unwrap();
             assert!(got.pixels_eq(&expect_i16), "sobel {dir:?}");
         }
 
         edge_detect(&src, &mut expect_u8, 96, Engine::Native);
-        par_fused_edge_detect_with(&src, &mut got, 96, Engine::Native, &plan);
+        try_par_fused_edge_detect_with(&src, &mut got, 96, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect_u8), "edge");
-    }
-
-    #[test]
-    fn spawn_baselines_match_pool_scheduling() {
-        // Same band maths under both schedulers — outputs must be
-        // bit-identical regardless of which threads ran the bands.
-        let src = synthetic_image(97, 53, 131);
-        let plan = BandPlan { band_rows: 5 };
-
-        let mut pool_u8 = Image::new(97, 53);
-        par_fused_gaussian_blur_with(
-            &src,
-            &mut pool_u8,
-            &paper_gaussian_kernel(),
-            Engine::Native,
-            &plan,
-        );
-        let mut spawn_u8 = Image::new(97, 53);
-        par_fused_gaussian_blur_spawn_baseline(
-            &src,
-            &mut spawn_u8,
-            &paper_gaussian_kernel(),
-            Engine::Native,
-            &plan,
-        );
-        assert!(spawn_u8.pixels_eq(&pool_u8), "gaussian");
-
-        let mut pool_i16 = Image::new(97, 53);
-        par_fused_sobel_with(
-            &src,
-            &mut pool_i16,
-            SobelDirection::X,
-            Engine::Native,
-            &plan,
-        );
-        let mut spawn_i16 = Image::new(97, 53);
-        par_fused_sobel_spawn_baseline(
-            &src,
-            &mut spawn_i16,
-            SobelDirection::X,
-            Engine::Native,
-            &plan,
-        );
-        assert!(spawn_i16.pixels_eq(&pool_i16), "sobel");
-
-        par_fused_edge_detect_with(&src, &mut pool_u8, 96, Engine::Native, &plan);
-        par_fused_edge_detect_spawn_baseline(&src, &mut spawn_u8, 96, Engine::Native, &plan);
-        assert!(spawn_u8.pixels_eq(&pool_u8), "edge");
     }
 
     #[test]
@@ -972,31 +756,22 @@ mod tests {
         let mut dst = Image::new(320, 200);
         let mut scratch = Scratch::new();
         let plan = BandPlan { band_rows: 50 };
+        let kernel = paper_gaussian_kernel();
 
         // Cold runs populate the arenas: the caller arena for the
         // sequential path, the worker thread-local arenas for the
         // parallel path (inline on this thread at width 1).
-        par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Native, &plan);
-        fused_gaussian_blur_with(
-            &src,
-            &mut dst,
-            &paper_gaussian_kernel(),
-            Engine::Native,
-            &mut scratch,
-        );
+        try_par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Native, &plan).unwrap();
+        try_fused_gaussian_blur_with(&src, &mut dst, &kernel, Engine::Native, &mut scratch)
+            .unwrap();
         let warm = scratch.fresh_allocs();
         let warm_worker = crate::scratch::worker_arena_fresh_allocs();
 
         // Warm runs must not touch the allocator through either arena.
         for _ in 0..3 {
-            par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Native, &plan);
-            fused_gaussian_blur_with(
-                &src,
-                &mut dst,
-                &paper_gaussian_kernel(),
-                Engine::Native,
-                &mut scratch,
-            );
+            try_par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Native, &plan).unwrap();
+            try_fused_gaussian_blur_with(&src, &mut dst, &kernel, Engine::Native, &mut scratch)
+                .unwrap();
         }
         assert_eq!(scratch.fresh_allocs(), warm, "warm run allocated buffers");
         assert_eq!(
@@ -1015,12 +790,11 @@ mod tests {
         crate::gaussian::gaussian_blur_kernel(&src, &mut expect, &kernel, Engine::Native);
         let mut scratch = Scratch::new();
         let mut got = Image::new(60, 40);
-        fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &mut scratch);
+        try_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &mut scratch)
+            .unwrap();
         assert!(got.pixels_eq(&expect));
         let plan = BandPlan::for_width(60);
-        par_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &plan);
-        assert!(got.pixels_eq(&expect));
-        par_fused_gaussian_blur_spawn_baseline(&src, &mut got, &kernel, Engine::Native, &plan);
+        try_par_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect));
     }
 }

@@ -81,7 +81,7 @@ pub struct WorkspaceSpec {
 impl WorkspaceSpec {
     /// Upper bound on the bytes a cold arena allocates to satisfy this
     /// spec (every ring row and temp at exactly `width`). Used by the
-    /// arena cap check in [`Scratch::try_checkout`].
+    /// arena cap check in [`Scratch::try_checkout_guarded`].
     pub fn bytes(&self) -> usize {
         self.width * 2 * (self.u16_rows + self.a_rows + self.b_rows)
             + if self.row_temps { self.width * 5 } else { 0 }
@@ -125,13 +125,13 @@ impl WorkspaceSpec {
 ///
 /// `Scratch` is cheap to construct (allocates nothing until first use) and
 /// intended to be long-lived: the harness and benches create one per
-/// kernel loop and feed it to every `fused_*_with` call. The
+/// kernel loop and feed it to every `try_fused_*_with` call. The
 /// [`fresh_allocs`](Scratch::fresh_allocs) counter increments once per
 /// buffer the pool had to allocate or grow, so
 ///
 /// ```text
 /// let before = scratch.fresh_allocs();
-/// fused_edge_detect_with(..., &mut scratch);   // second run, same size
+/// try_fused_edge_detect_with(..., &mut scratch)?; // second run, same size
 /// assert_eq!(scratch.fresh_allocs(), before);  // fully warm: no allocs
 /// ```
 ///
@@ -153,7 +153,7 @@ impl Scratch {
         Self::default()
     }
 
-    /// Creates an arena that refuses (via [`Scratch::try_checkout`]) to
+    /// Creates an arena that refuses (via [`Scratch::try_checkout_guarded`]) to
     /// grow beyond `cap` bytes.
     pub fn with_cap_bytes(cap: usize) -> Self {
         Scratch {
@@ -162,8 +162,8 @@ impl Scratch {
         }
     }
 
-    /// Sets or clears the arena's byte cap. Only the fallible checkout
-    /// path enforces it; [`Scratch::checkout`] stays infallible.
+    /// Sets or clears the arena's byte cap, enforced by
+    /// [`Scratch::try_checkout_guarded`].
     pub fn set_cap_bytes(&mut self, cap: Option<usize>) {
         self.cap_bytes = cap;
     }
@@ -205,7 +205,7 @@ impl Scratch {
     /// `spec` is preferred over the most recently returned one, so a
     /// single arena serving differently-shaped kernels (gaussian rings vs
     /// edge rings) stays allocation-free once each shape has been seen.
-    pub fn checkout(&mut self, spec: WorkspaceSpec) -> BandWorkspace {
+    fn checkout(&mut self, spec: WorkspaceSpec) -> BandWorkspace {
         let ready = self.pool.iter().position(|ws| Self::satisfies(ws, &spec));
         let mut ws = match ready {
             Some(i) => self.pool.swap_remove(i),
@@ -243,7 +243,7 @@ impl Scratch {
     /// cap. The growth estimate is an upper bound ([`WorkspaceSpec::bytes`]
     /// when no pooled workspace already satisfies the spec), so a rejected
     /// checkout never allocates anything.
-    pub fn try_checkout(
+    fn try_checkout(
         &mut self,
         spec: WorkspaceSpec,
     ) -> Result<BandWorkspace, crate::error::KernelError> {
@@ -260,18 +260,10 @@ impl Scratch {
         Ok(self.checkout(spec))
     }
 
-    /// Checkout whose give-back is a drop guard: the workspace returns to
-    /// the arena when the [`CheckedOut`] handle drops, **including during
-    /// unwinding**, so a panic inside a band loop cannot leak the buffers.
-    pub fn checkout_guarded(&mut self, spec: WorkspaceSpec) -> CheckedOut<'_> {
-        let ws = self.checkout(spec);
-        CheckedOut {
-            arena: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// [`Scratch::checkout_guarded`] through the fallible (capped) path.
+    /// Fallible checkout (see `try_checkout`) whose give-back is a drop
+    /// guard: the workspace returns to the arena when the [`CheckedOut`]
+    /// handle drops, **including during unwinding**, so a panic inside a
+    /// band loop cannot leak the buffers.
     pub fn try_checkout_guarded(
         &mut self,
         spec: WorkspaceSpec,
@@ -294,7 +286,7 @@ impl Scratch {
     }
 
     /// Returns a workspace to the pool for later reuse.
-    pub fn give_back(&mut self, ws: BandWorkspace) {
+    fn give_back(&mut self, ws: BandWorkspace) {
         self.outstanding = self.outstanding.saturating_sub(1);
         self.outstanding_bytes = self
             .outstanding_bytes
@@ -362,7 +354,7 @@ impl Scratch {
 }
 
 /// A checked-out workspace that returns itself to its arena on drop —
-/// the unwind-safe counterpart of the `checkout`/`give_back` pair. The
+/// the unwind-safe counterpart of a checkout/give-back pair. The
 /// sequential fused entry points hold their workspace through one of
 /// these so an injected (or real) panic mid-band still restores the
 /// arena's ledgers.
@@ -433,12 +425,6 @@ pub fn with_worker_workspace<R>(spec: WorkspaceSpec, f: impl FnOnce(&mut BandWor
 /// performed (its [`Scratch::fresh_allocs`] ledger).
 pub fn worker_arena_fresh_allocs() -> usize {
     WORKER_SCRATCH.with(|cell| cell.borrow().fresh_allocs())
-}
-
-/// Bytes currently held by the calling thread's worker arena (its
-/// [`Scratch::live_bytes`] ledger).
-pub fn worker_arena_live_bytes() -> usize {
-    WORKER_SCRATCH.with(|cell| cell.borrow().live_bytes())
 }
 
 /// Workspaces checked out of the calling thread's worker arena and not
@@ -562,7 +548,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let spec = WorkspaceSpec::edge(256);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut co = scratch.checkout_guarded(spec);
+            let mut co = scratch.try_checkout_guarded(spec).unwrap();
             assert!(co.ws().ring_a.len() >= 3);
             panic!("band body died");
         }));
@@ -571,7 +557,7 @@ mod tests {
         assert_eq!(scratch.outstanding_bytes(), 0);
         // And the pooled workspace is reusable without fresh allocations.
         let warm = scratch.fresh_allocs();
-        let co = scratch.checkout_guarded(spec);
+        let co = scratch.try_checkout_guarded(spec).unwrap();
         drop(co);
         assert_eq!(scratch.fresh_allocs(), warm);
     }

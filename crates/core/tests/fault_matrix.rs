@@ -8,11 +8,12 @@
 
 use pixelimage::{synthetic_image, Image};
 use simdbench_core::dispatch::Engine;
-use simdbench_core::error::{validate_frame, KernelError, MAX_PIXELS};
+use simdbench_core::error::{validate_frame, KernelError, KernelResult, MAX_PIXELS};
 use simdbench_core::kernelgen::{paper_gaussian_kernel, FixedKernel};
 use simdbench_core::pipeline::{
     try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
-    try_par_fused_edge_detect_with, BandPlan,
+    try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
+    BandPlan,
 };
 use simdbench_core::scratch::Scratch;
 use simdbench_core::sobel::SobelDirection;
@@ -180,6 +181,23 @@ fn non_q8_kernels_are_rejected_everywhere() {
         try_fused_gaussian_blur_with(&src, &mut dst, &bad, Engine::Native, &mut scratch),
         Err(KernelError::BadKernel { sum: 9 })
     );
+    let plan = BandPlan { band_rows: 4 };
+    assert_eq!(
+        try_par_fused_gaussian_blur_with(&src, &mut dst, &bad, Engine::Native, &plan),
+        Err(KernelError::BadKernel { sum: 9 })
+    );
+    // Geometry is validated before the kernel on both Gaussian entry
+    // points.
+    let mut narrow = Image::<u8>::new(31, 16);
+    let mismatch = Err(KernelError::WidthMismatch { src: 32, dst: 31 });
+    assert_eq!(
+        try_fused_gaussian_blur_with(&src, &mut narrow, &bad, Engine::Native, &mut scratch),
+        mismatch
+    );
+    assert_eq!(
+        try_par_fused_gaussian_blur_with(&src, &mut narrow, &bad, Engine::Native, &plan),
+        mismatch
+    );
 }
 
 #[test]
@@ -224,22 +242,41 @@ fn capped_scratch_surfaces_arena_exhausted_from_the_fused_pipeline() {
     assert_eq!(scratch.outstanding(), 0, "workspace returned after use");
 }
 
+/// Runs all six fused entry points (serial and pool, per kernel) from
+/// `src` into fresh `w`x`h` destinations and asserts each returns `want`.
+fn assert_all_six_entry_points(src: &Image<u8>, w: usize, h: usize, want: KernelResult) {
+    let (engine, dir, kernel) = (Engine::Native, SobelDirection::X, paper_gaussian_kernel());
+    let (plan, mut scratch) = (BandPlan { band_rows: 4 }, Scratch::new());
+    let (mut d8, mut d16) = (Image::<u8>::new(w, h), Image::<i16>::new(w, h));
+    let got = [
+        try_fused_gaussian_blur_with(src, &mut d8, &kernel, engine, &mut scratch),
+        try_fused_sobel_with(src, &mut d16, dir, engine, &mut scratch),
+        try_fused_edge_detect_with(src, &mut d8, 96, engine, &mut scratch),
+        try_par_fused_gaussian_blur_with(src, &mut d8, &kernel, engine, &plan),
+        try_par_fused_sobel_with(src, &mut d16, dir, engine, &plan),
+        try_par_fused_edge_detect_with(src, &mut d8, 96, engine, &plan),
+    ];
+    let names = ["gaussian", "sobel", "edge"];
+    for (i, got) in got.into_iter().enumerate() {
+        let exec = if i < 3 { "fused" } else { "par_fused" };
+        assert_eq!(got, want, "{exec} {} into {w}x{h}", names[i % 3]);
+    }
+}
+
 #[test]
 fn parallel_fused_pipeline_validates_like_the_sequential_one() {
+    use KernelError::{HeightMismatch, WidthMismatch, ZeroSize};
     let src = synthetic_image(16, 8, 11);
-    let mut narrow = Image::<u8>::new(15, 8);
-    let plan = BandPlan { band_rows: 4 };
-    assert_eq!(
-        try_par_fused_edge_detect_with(&src, &mut narrow, 96, Engine::Native, &plan),
-        Err(KernelError::WidthMismatch { src: 16, dst: 15 })
-    );
     let z = Image::<u8>::new(0, 5);
-    let mut zd = Image::<u8>::new(0, 5);
-    assert_eq!(
-        try_par_fused_edge_detect_with(&z, &mut zd, 96, Engine::Native, &plan),
-        Err(KernelError::ZeroSize {
-            width: 0,
-            height: 5
-        })
-    );
+    let h0 = Image::<u8>::new(7, 0);
+    let narrow = Err(WidthMismatch { src: 16, dst: 15 });
+    assert_all_six_entry_points(&src, 15, 8, narrow.clone());
+    assert_all_six_entry_points(&src, 16, 7, Err(HeightMismatch { src: 8, dst: 7 }));
+    // Width is checked before height when both disagree.
+    assert_all_six_entry_points(&src, 15, 7, narrow);
+    let zero = |width, height| Err(ZeroSize { width, height });
+    assert_all_six_entry_points(&z, 0, 5, zero(0, 5));
+    assert_all_six_entry_points(&h0, 7, 0, zero(7, 0));
+    // Valid geometry succeeds on every entry point.
+    assert_all_six_entry_points(&src, 16, 8, Ok(()));
 }

@@ -11,9 +11,11 @@ use simdbench_core::gaussian::gaussian_blur;
 use simdbench_core::kernelgen::paper_gaussian_kernel;
 use simdbench_core::parallel::{par_edge_detect, par_gaussian_blur, par_sobel};
 use simdbench_core::pipeline::{
-    fused_edge_detect, fused_gaussian_blur, fused_sobel, par_fused_edge_detect_with,
-    par_fused_gaussian_blur_with, par_fused_sobel_with, BandPlan,
+    try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
+    try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
+    BandPlan,
 };
+use simdbench_core::scratch::Scratch;
 use simdbench_core::sobel::{sobel, SobelDirection};
 
 /// Widths straddling the SSE/NEON 8- and 16-lane boundaries, plus widths
@@ -24,6 +26,7 @@ const HEIGHTS: &[usize] = &[1, 2, 3, 4, 9];
 
 #[test]
 fn fused_gaussian_matches_sequential_on_awkward_shapes() {
+    let (kernel, mut scratch) = (paper_gaussian_kernel(), Scratch::new());
     for &w in WIDTHS {
         for &h in HEIGHTS {
             let src = synthetic_image(w, h, (w * 131 + h) as u64);
@@ -31,7 +34,8 @@ fn fused_gaussian_matches_sequential_on_awkward_shapes() {
                 let mut expect = Image::new(w, h);
                 gaussian_blur(&src, &mut expect, engine);
                 let mut got = Image::new(w, h);
-                fused_gaussian_blur(&src, &mut got, engine);
+                try_fused_gaussian_blur_with(&src, &mut got, &kernel, engine, &mut scratch)
+                    .unwrap();
                 assert!(got.pixels_eq(&expect), "fused gaussian {w}x{h} {engine:?}");
             }
         }
@@ -48,7 +52,7 @@ fn fused_sobel_matches_sequential_on_awkward_shapes() {
                     let mut expect = Image::new(w, h);
                     sobel(&src, &mut expect, dir, engine);
                     let mut got = Image::new(w, h);
-                    fused_sobel(&src, &mut got, dir, engine);
+                    try_fused_sobel_with(&src, &mut got, dir, engine, &mut Scratch::new()).unwrap();
                     assert!(
                         got.pixels_eq(&expect),
                         "fused sobel {w}x{h} {dir:?} {engine:?}"
@@ -68,7 +72,8 @@ fn fused_edge_matches_sequential_on_awkward_shapes() {
                 let mut expect = Image::new(w, h);
                 edge_detect(&src, &mut expect, 96, engine);
                 let mut got = Image::new(w, h);
-                fused_edge_detect(&src, &mut got, 96, engine);
+                try_fused_edge_detect_with(&src, &mut got, 96, engine, &mut Scratch::new())
+                    .unwrap();
                 assert!(got.pixels_eq(&expect), "fused edge {w}x{h} {engine:?}");
             }
         }
@@ -116,6 +121,7 @@ fn ragged_band_tails_are_bit_exact() {
     // sequential result exactly.
     let (w, h) = (41, 29);
     let src = synthetic_image(w, h, 151);
+    let kernel = paper_gaussian_kernel();
     // A 4-wide install forces the persistent pool to actually schedule
     // bands across workers (instead of the width-1 inline path on
     // single-core hosts), so seam priming is validated under stealing.
@@ -130,13 +136,8 @@ fn ragged_band_tails_are_bit_exact() {
             let mut expect_u8 = Image::new(w, h);
             gaussian_blur(&src, &mut expect_u8, Engine::Native);
             let mut got_u8 = Image::new(w, h);
-            par_fused_gaussian_blur_with(
-                &src,
-                &mut got_u8,
-                &paper_gaussian_kernel(),
-                Engine::Native,
-                &plan,
-            );
+            try_par_fused_gaussian_blur_with(&src, &mut got_u8, &kernel, Engine::Native, &plan)
+                .unwrap();
             assert!(
                 got_u8.pixels_eq(&expect_u8),
                 "gaussian band_rows={band_rows}"
@@ -145,14 +146,15 @@ fn ragged_band_tails_are_bit_exact() {
             let mut expect_i16 = Image::new(w, h);
             sobel(&src, &mut expect_i16, SobelDirection::X, Engine::Native);
             let mut got_i16 = Image::new(w, h);
-            par_fused_sobel_with(&src, &mut got_i16, SobelDirection::X, Engine::Native, &plan);
+            try_par_fused_sobel_with(&src, &mut got_i16, SobelDirection::X, Engine::Native, &plan)
+                .unwrap();
             assert!(
                 got_i16.pixels_eq(&expect_i16),
                 "sobel band_rows={band_rows}"
             );
 
             edge_detect(&src, &mut expect_u8, 80, Engine::Native);
-            par_fused_edge_detect_with(&src, &mut got_u8, 80, Engine::Native, &plan);
+            try_par_fused_edge_detect_with(&src, &mut got_u8, 80, Engine::Native, &plan).unwrap();
             assert!(got_u8.pixels_eq(&expect_u8), "edge band_rows={band_rows}");
         }
     });
@@ -165,6 +167,7 @@ fn paper_resolutions_are_bit_exact_for_fused_pipeline() {
     // engine's fused output must equal that engine's two-pass output,
     // which in turn equals the scalar reference (engine equivalence).
     use pixelimage::Resolution;
+    let kernel = paper_gaussian_kernel();
     for res in Resolution::ALL {
         let (w, h) = res.dims();
         let src = synthetic_image(w, h, 7 + w as u64);
@@ -172,17 +175,11 @@ fn paper_resolutions_are_bit_exact_for_fused_pipeline() {
         edge_detect(&src, &mut expect, 96, Engine::Native);
         let mut got = Image::new(w, h);
         let plan = BandPlan::for_width(w);
-        par_fused_edge_detect_with(&src, &mut got, 96, Engine::Native, &plan);
+        try_par_fused_edge_detect_with(&src, &mut got, 96, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect), "{res:?} edge");
 
         gaussian_blur(&src, &mut expect, Engine::Native);
-        par_fused_gaussian_blur_with(
-            &src,
-            &mut got,
-            &paper_gaussian_kernel(),
-            Engine::Native,
-            &plan,
-        );
+        try_par_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect), "{res:?} gaussian");
     }
 }

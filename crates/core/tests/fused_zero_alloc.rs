@@ -2,10 +2,10 @@
 //! counted by a wrapping global allocator rather than inferred from the
 //! arena's own ledger:
 //!
-//! 1. once a [`Scratch`] arena is warm, a sequential `fused_*_with` call
+//! 1. once a [`Scratch`] arena is warm, a sequential `try_fused_*_with` call
 //!    performs **no** heap allocations at all, and
 //! 2. once the persistent pool's workers have run each kernel shape once,
-//!    steady-state `par_fused_*` calls perform **no** heap allocations on
+//!    steady-state `try_par_fused_*` calls perform **no** heap allocations on
 //!    any worker thread — band workspaces come from the workers'
 //!    thread-local arenas and the scheduler's deques reuse their capacity.
 //!
@@ -93,11 +93,12 @@ fn warm_fused_calls_do_not_allocate() {
     use simdbench_core::dispatch::Engine;
     use simdbench_core::kernelgen::paper_gaussian_kernel;
     use simdbench_core::pipeline::{
-        fused_edge_detect_with, fused_gaussian_blur_with, fused_sobel_with,
-        par_fused_edge_detect_with, par_fused_gaussian_blur_with, par_fused_sobel_with, BandPlan,
+        try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
+        try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
+        BandPlan,
     };
     use simdbench_core::scratch::{warm_worker_arenas, Scratch, WorkspaceSpec};
-    use simdbench_core::sobel::SobelDirection;
+    use simdbench_core::sobel::SobelDirection::{X, Y};
 
     let (w, h) = (257, 53); // odd width: scalar tails + SIMD interior
     let src = synthetic_image(w, h, 163);
@@ -108,17 +109,17 @@ fn warm_fused_calls_do_not_allocate() {
 
     for engine in Engine::ALL {
         // Cold pass: allowed to allocate (fills the arena).
-        fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, engine, &mut scratch);
-        fused_sobel_with(&src, &mut dst_i16, SobelDirection::X, engine, &mut scratch);
-        fused_sobel_with(&src, &mut dst_i16, SobelDirection::Y, engine, &mut scratch);
-        fused_edge_detect_with(&src, &mut dst_u8, 96, engine, &mut scratch);
+        try_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, engine, &mut scratch).unwrap();
+        try_fused_sobel_with(&src, &mut dst_i16, X, engine, &mut scratch).unwrap();
+        try_fused_sobel_with(&src, &mut dst_i16, Y, engine, &mut scratch).unwrap();
+        try_fused_edge_detect_with(&src, &mut dst_u8, 96, engine, &mut scratch).unwrap();
 
         // Warm pass: zero allocations, enforced at the allocator.
         let n = count_allocs(|| {
-            fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, engine, &mut scratch);
-            fused_sobel_with(&src, &mut dst_i16, SobelDirection::X, engine, &mut scratch);
-            fused_sobel_with(&src, &mut dst_i16, SobelDirection::Y, engine, &mut scratch);
-            fused_edge_detect_with(&src, &mut dst_u8, 96, engine, &mut scratch);
+            try_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, engine, &mut scratch).unwrap();
+            try_fused_sobel_with(&src, &mut dst_i16, X, engine, &mut scratch).unwrap();
+            try_fused_sobel_with(&src, &mut dst_i16, Y, engine, &mut scratch).unwrap();
+            try_fused_edge_detect_with(&src, &mut dst_u8, 96, engine, &mut scratch).unwrap();
         });
         assert_eq!(n, 0, "warm fused calls allocated {n} times ({engine:?})");
     }
@@ -133,7 +134,7 @@ fn warm_fused_calls_do_not_allocate() {
         .expect("pool build");
     wide.install(|| {
         rayon::broadcast(|_| IS_WORKER.with(|c| c.set(true)));
-        let plan = BandPlan { band_rows: 8 };
+        let (plan, native) = (BandPlan { band_rows: 8 }, Engine::Native);
         warm_worker_arenas(&[
             WorkspaceSpec::gaussian(w, kernel.len()),
             WorkspaceSpec::sobel(w),
@@ -143,16 +144,17 @@ fn warm_fused_calls_do_not_allocate() {
         // Cold parallel passes grow the scheduler's deques and any
         // remaining lazy state to their steady-state footprint.
         for _ in 0..3 {
-            par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, Engine::Native, &plan);
-            par_fused_sobel_with(&src, &mut dst_i16, SobelDirection::X, Engine::Native, &plan);
-            par_fused_edge_detect_with(&src, &mut dst_u8, 96, Engine::Native, &plan);
+            try_par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, native, &plan).unwrap();
+            try_par_fused_sobel_with(&src, &mut dst_i16, X, native, &plan).unwrap();
+            try_par_fused_edge_detect_with(&src, &mut dst_u8, 96, native, &plan).unwrap();
         }
 
         let n = count_worker_allocs(|| {
             for _ in 0..5 {
-                par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, Engine::Native, &plan);
-                par_fused_sobel_with(&src, &mut dst_i16, SobelDirection::X, Engine::Native, &plan);
-                par_fused_edge_detect_with(&src, &mut dst_u8, 96, Engine::Native, &plan);
+                try_par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, native, &plan)
+                    .unwrap();
+                try_par_fused_sobel_with(&src, &mut dst_i16, X, native, &plan).unwrap();
+                try_par_fused_edge_detect_with(&src, &mut dst_u8, 96, native, &plan).unwrap();
             }
         });
         assert_eq!(

@@ -9,7 +9,6 @@
 
 use pixelimage::{synthetic_suite, Image, Resolution};
 use simdbench_core::kernelgen::paper_gaussian_kernel;
-use simdbench_core::pipeline::fused_gaussian_blur_with;
 use simdbench_core::prelude::*;
 use simdbench_core::scratch::Scratch;
 use std::time::Instant;
@@ -20,11 +19,11 @@ fn time_passes(src: &Image<u8>, passes: usize) -> f64 {
     let gk = paper_gaussian_kernel();
     // Warm up: populate the scratch arena and caches.
     for _ in 0..2 {
-        fused_gaussian_blur_with(src, &mut dst, &gk, Engine::Native, &mut scratch);
+        try_fused_gaussian_blur_with(src, &mut dst, &gk, Engine::Native, &mut scratch).unwrap();
     }
     let start = Instant::now();
     for _ in 0..passes {
-        fused_gaussian_blur_with(src, &mut dst, &gk, Engine::Native, &mut scratch);
+        try_fused_gaussian_blur_with(src, &mut dst, &gk, Engine::Native, &mut scratch).unwrap();
     }
     start.elapsed().as_secs_f64()
 }

@@ -9,10 +9,12 @@
 //! repro energy                 # A4 energy-efficiency extension
 //! repro host [--quick] [--full] [--csv FILE]  # AUTO vs HAND on THIS machine
 //! repro fused [--quick] [--full] [--csv FILE] # fused vs two-pass pipeline
-//! repro parallel [--quick] [--full] [--csv FILE] # pool vs per-call-spawn dispatch
+//! repro parallel [--quick] [--full] [--csv FILE] # pool vs sequential fused
 //! repro stats [--full] [--json FILE] # instrumented exercise -> telemetry report
 //! repro chaos [--seed N] [--quick]   # fault-injection matrix over the fused pipeline
 //! repro stream [--quick] [--frames N] [--rate FPS] [--json FILE]
+//!              [--image RES] [--kernel gaussian|edge] [--slo-ms N]
+//!              [--slots N] [--queue N]
 //!                              # streaming engine: throughput-latency report
 //! repro csv [dir]              # write every table/figure as CSV files
 //! repro all                    # everything except host mode
@@ -25,6 +27,10 @@
 //! (`results/telemetry_<cmd>.json`) so runs don't clobber each other;
 //! override with `--json FILE` (`--telemetry-json FILE` for `stream`,
 //! whose `--json` names the throughput report).
+//!
+//! Every subcommand declares its flags. An unknown flag, a value flag
+//! without its value, a number that does not parse, or an unknown
+//! `--kernel`/`--image` name exits with code 2 and a usage line.
 
 use pixelimage::Resolution;
 use platform_model::{all_platforms, Isa, Kernel};
@@ -35,6 +41,12 @@ use repro_harness::timing::{host_auto_engine, host_hand_engine, measure, HostCon
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
+    let flagged = [
+        "host", "fused", "parallel", "stats", "chaos", "stream", "csv",
+    ];
+    if !flagged.contains(&command) && args.len() > 1 {
+        Flags::parse(command, &args[1..], &[], &[]);
+    }
     match command {
         "table1" => print!("{}", render_table(&table1())),
         "table2" => print!("{}", render_table(&table2())),
@@ -53,6 +65,10 @@ fn main() {
         "chaos" => chaos_mode(&args[1..]),
         "stream" => stream_mode(&args[1..]),
         "csv" => {
+            if args.len() > 2 || args.get(1).is_some_and(|a| a.starts_with("--")) {
+                eprintln!("usage: repro csv [DIR]");
+                std::process::exit(2);
+            }
             let dir = args.get(1).cloned().unwrap_or_else(|| "results".into());
             if let Err(e) = write_csvs(&dir) {
                 eprintln!("csv export failed: {e}");
@@ -101,44 +117,175 @@ fn write_csvs(dir: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Returns the value following `flag` in `args`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// A subcommand's flags, parsed strictly against what it declares:
+/// `switches` take no value, `values` take exactly one. Anything else is
+/// a usage error (exit code 2).
+struct Flags {
+    command: String,
+    switches: &'static [&'static str],
+    values: &'static [&'static str],
+    given: Vec<(String, Option<String>)>,
 }
 
-/// Parses the shared `--telemetry` flag; when present, enables the `obs`
-/// layer and clears any state left from process start-up so the report
-/// covers exactly this run.
-fn telemetry_requested(args: &[String]) -> bool {
-    let on = args.iter().any(|a| a == "--telemetry");
-    if on {
-        obs::set_enabled(true);
-        obs::reset();
+impl Flags {
+    fn parse(
+        command: &str,
+        args: &[String],
+        switches: &'static [&'static str],
+        values: &'static [&'static str],
+    ) -> Flags {
+        let mut flags = Flags {
+            command: command.to_string(),
+            switches,
+            values,
+            given: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let value = if switches.contains(&arg.as_str()) {
+                None
+            } else if values.contains(&arg.as_str()) {
+                match rest.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => flags.fail(&format!("{arg} needs a value")),
+                }
+            } else if arg.starts_with("--") {
+                flags.fail(&format!("unknown flag {arg}"))
+            } else {
+                flags.fail(&format!("unexpected argument {arg}"))
+            };
+            flags.given.push((arg.clone(), value));
+        }
+        flags
     }
-    on
+
+    /// Prints `msg` and the usage line, then exits with code 2.
+    fn fail(&self, msg: &str) -> ! {
+        let switches = self.switches.iter().map(|s| format!(" [{s}]"));
+        let values = self.values.iter().map(|v| format!(" [{v} VALUE]"));
+        let usage: String = switches.chain(values).collect();
+        eprintln!("repro {}: {msg}", self.command);
+        eprintln!("usage: repro {}{usage}", self.command);
+        std::process::exit(2);
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| n == name)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `name` parsed as `T`; one that does not parse is a
+    /// usage error.
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.value(name)?;
+        Some(
+            v.parse()
+                .unwrap_or_else(|_| self.fail(&format!("{name}: not a number: {v}"))),
+        )
+    }
+
+    /// The value of `name` looked up by label in `choices`; an unknown
+    /// label is a usage error.
+    fn choice<T: Copy>(&self, name: &str, choices: &[(&str, T)]) -> Option<T> {
+        let v = self.value(name)?;
+        let found = choices.iter().find(|(label, _)| *label == v);
+        Some(found.map(|&(_, c)| c).unwrap_or_else(|| {
+            let known: Vec<&str> = choices.iter().map(|(label, _)| *label).collect();
+            self.fail(&format!(
+                "{name}: unknown {v} (one of {})",
+                known.join(", ")
+            ))
+        }))
+    }
+
+    /// Whether `--telemetry` was given; when it was, enables the `obs`
+    /// layer and clears any state left from process start-up so the
+    /// report covers exactly this run.
+    fn telemetry(&self) -> bool {
+        let on = self.has("--telemetry");
+        if on {
+            obs::set_enabled(true);
+            obs::reset();
+        }
+        on
+    }
+}
+
+/// What the timing subcommands (`host`, `fused`, `parallel`) share:
+/// `--quick`/`--full` pick the protocol and resolutions, `--csv` names
+/// the table dump and `--telemetry` turns on the `obs` report.
+struct Timing {
+    flags: Flags,
+    config: HostConfig,
+    resolutions: &'static [Resolution],
+    telemetry: bool,
+}
+
+impl Timing {
+    fn parse(command: &str, args: &[String], values: &'static [&'static str]) -> Timing {
+        let flags = Flags::parse(command, args, &["--quick", "--full", "--telemetry"], values);
+        let quick = flags.has("--quick");
+        let resolutions: &'static [Resolution] = if flags.has("--full") {
+            &Resolution::ALL
+        } else if quick {
+            &[Resolution::Vga]
+        } else {
+            &[Resolution::Vga, Resolution::Mp1]
+        };
+        Timing {
+            config: if quick {
+                HostConfig::quick()
+            } else {
+                HostConfig::default()
+            },
+            resolutions,
+            telemetry: flags.telemetry(),
+            flags,
+        }
+    }
+
+    /// Writes `csv` to the `--csv` path if one was given, then the
+    /// telemetry report (to `--json`, default `telemetry_json`) if it was
+    /// requested.
+    fn finish(&self, csv: String, telemetry_json: &str) {
+        if let Some(path) = self.flags.value("--csv") {
+            write_output(path, csv);
+        }
+        if self.telemetry {
+            telemetry_report(self.flags.value("--json").unwrap_or(telemetry_json));
+        }
+    }
+}
+
+/// Writes `contents` to `path`, creating parent directories, and says
+/// so; exits with code 1 when the file cannot be written.
+fn write_output(path: &str, contents: String) {
+    let dir = std::path::Path::new(path).parent();
+    let dir = dir.filter(|d| !d.as_os_str().is_empty());
+    let written = dir
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    if let Err(e) = written {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
 
 /// Snapshots telemetry, prints the human-readable report, and writes the
-/// machine-readable JSON to `path` (creating parent directories).
+/// machine-readable JSON to `path`.
 fn telemetry_report(path: &str) {
     let snap = obs::snapshot();
     println!();
     print!("{}", snap.render());
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(path, snap.to_json()) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_output(path, snap.to_json());
 }
 
 /// Stats mode: run a short instrumented exercise of all three telemetry
@@ -146,11 +293,13 @@ fn telemetry_report(path: &str) {
 /// (banded parallel), and the harness timing protocol — then print the
 /// full report and write the JSON dump.
 fn stats_mode(args: &[String]) {
-    use repro_harness::timing::{measure_fused, measure_parallel, ParallelMode};
+    use repro_harness::timing::{measure_fused, measure_parallel};
 
-    let full = args.iter().any(|a| a == "--full");
-    let json_path =
-        flag_value(args, "--json").unwrap_or_else(|| "results/telemetry_stats.json".into());
+    let flags = Flags::parse("stats", args, &["--full"], &["--json"]);
+    let full = flags.has("--full");
+    let json_path = flags
+        .value("--json")
+        .unwrap_or("results/telemetry_stats.json");
     let res = if full {
         Resolution::Mp8
     } else {
@@ -185,8 +334,7 @@ fn stats_mode(args: &[String]) {
         .build()
         .expect("pool build");
     for kernel in STENCILS {
-        let m =
-            pool.install(|| measure_parallel(kernel, engine, ParallelMode::Pool, &work, &config));
+        let m = pool.install(|| measure_parallel(kernel, engine, &work, &config));
         println!(
             "pooled {:<10} mean {:.6}s over {} passes",
             kernel.table3_label(),
@@ -194,7 +342,7 @@ fn stats_mode(args: &[String]) {
             m.runs
         );
     }
-    telemetry_report(&json_path);
+    telemetry_report(json_path);
 }
 
 /// Chaos mode: drives the fused pipeline (sequential and banded-parallel)
@@ -225,10 +373,9 @@ fn chaos_mode(args: &[String]) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let quick = args.iter().any(|a| a == "--quick");
+    let flags = Flags::parse("chaos", args, &["--quick"], &["--seed"]);
+    let seed: u64 = flags.number("--seed").unwrap_or(42);
+    let quick = flags.has("--quick");
     let (w, h) = if quick {
         (160, 120)
     } else {
@@ -243,44 +390,24 @@ fn chaos_mode(args: &[String]) {
         /// Job watchdog armed while this cell runs.
         watchdog_ms: Option<u64>,
     }
+    use faultline::Action::{Delay, Error, Panic};
     let mut cells = Vec::new();
-    for &rate in &[0.25, 1.0] {
-        cells.push(Cell {
-            failpoint: "fused.entry",
-            action: faultline::Action::Error,
-            rate,
-            watchdog_ms: None,
-        });
-        cells.push(Cell {
-            failpoint: "par_fused.entry",
-            action: faultline::Action::Error,
-            rate,
-            watchdog_ms: None,
-        });
-        cells.push(Cell {
-            failpoint: "pipeline.band",
-            action: faultline::Action::Panic,
-            rate,
-            watchdog_ms: None,
-        });
-        cells.push(Cell {
-            failpoint: "pool.task",
-            action: faultline::Action::Panic,
-            rate,
-            watchdog_ms: None,
-        });
-        cells.push(Cell {
-            failpoint: "pool.worker",
-            action: faultline::Action::Panic,
-            rate,
-            watchdog_ms: None,
-        });
-        cells.push(Cell {
-            failpoint: "pool.task",
-            action: faultline::Action::Delay(25),
-            rate,
-            watchdog_ms: Some(10),
-        });
+    for rate in [0.25, 1.0] {
+        for (failpoint, action, watchdog_ms) in [
+            ("fused.entry", Error, None),
+            ("par_fused.entry", Error, None),
+            ("pipeline.band", Panic, None),
+            ("pool.task", Panic, None),
+            ("pool.worker", Panic, None),
+            ("pool.task", Delay(25), Some(10)),
+        ] {
+            cells.push(Cell {
+                failpoint,
+                action,
+                rate,
+                watchdog_ms,
+            });
+        }
     }
 
     println!("Chaos mode: injected-fault matrix over the fused pipeline");
@@ -532,40 +659,63 @@ fn stream_mode(args: &[String]) {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let telemetry = telemetry_requested(args);
-    let telemetry_path = flag_value(args, "--telemetry-json")
-        .unwrap_or_else(|| "results/telemetry_stream.json".into());
-    let json_path = flag_value(args, "--json").unwrap_or_else(|| "results/stream.json".into());
+    let flags = Flags::parse(
+        "stream",
+        args,
+        &["--quick", "--telemetry"],
+        &[
+            "--telemetry-json",
+            "--json",
+            "--image",
+            "--frames",
+            "--rate",
+            "--slo-ms",
+            "--kernel",
+            "--slots",
+            "--queue",
+        ],
+    );
+    let quick = flags.has("--quick");
+    let resolutions = Resolution::ALL.map(|r| (r.label(), r));
+    let res = flags
+        .choice("--image", &resolutions)
+        .unwrap_or(Resolution::Vga);
+    let frames: u64 = flags
+        .number("--frames")
+        .unwrap_or(if quick { 48 } else { 240 });
+    let rate: f64 = flags
+        .number("--rate")
+        .unwrap_or(if quick { 120.0 } else { 0.0 });
+    let slo_ms: Option<u64> = flags.number("--slo-ms");
+    let kernels = [
+        ("gaussian", StreamKernel::Gaussian),
+        ("edge", StreamKernel::Edge),
+    ];
+    let kernel = flags
+        .choice("--kernel", &kernels)
+        .unwrap_or(StreamKernel::Gaussian);
+    let slots: Option<usize> = flags.number("--slots");
+    let queue_cap: Option<usize> = flags.number("--queue");
+    let telemetry = flags.telemetry();
+    let telemetry_path = flags
+        .value("--telemetry-json")
+        .unwrap_or("results/telemetry_stream.json");
+    let json_path = flags.value("--json").unwrap_or("results/stream.json");
 
     let (width, height, res_label) = if quick {
         (160, 120, "160x120".to_string())
     } else {
-        let res = flag_value(args, "--image")
-            .and_then(|want| Resolution::ALL.into_iter().find(|r| r.label() == want))
-            .unwrap_or(Resolution::Vga);
         let (w, h) = res.dims();
         (w, h, res.label().to_string())
-    };
-    let frames: u64 = flag_value(args, "--frames")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 48 } else { 240 });
-    let rate: f64 = flag_value(args, "--rate")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 120.0 } else { 0.0 });
-    let slo_ms: Option<u64> = flag_value(args, "--slo-ms").and_then(|s| s.parse().ok());
-    let kernel = match flag_value(args, "--kernel").as_deref() {
-        Some("edge") => StreamKernel::Edge,
-        _ => StreamKernel::Gaussian,
     };
 
     let mut config = StreamConfig::new(width, height);
     config.kernel = kernel;
     config.engine = host_hand_engine();
-    if let Some(n) = flag_value(args, "--slots").and_then(|s| s.parse().ok()) {
+    if let Some(n) = slots {
         config.slots = n;
     }
-    if let Some(n) = flag_value(args, "--queue").and_then(|s| s.parse().ok()) {
+    if let Some(n) = queue_cap {
         config.queue_cap = n;
     }
     // Quick keeps a generous SLO armed so the shed path is live (and
@@ -676,24 +826,12 @@ fn stream_mode(args: &[String]) {
         .iter()
         .filter(|o| matches!(o.status, FrameStatus::Completed { checksum } if checksum != want))
         .count();
-    let mut latencies: Vec<f64> = measured
+    let latencies: Vec<f64> = measured
         .iter()
         .filter(|o| matches!(o.status, FrameStatus::Completed { .. }))
         .map(|o| o.latency.as_secs_f64())
         .collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
-    let mean = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
-    };
+    let latency = obs::stats::SampleStats::from_samples(&latencies);
     let throughput = summary.completed as f64 / wall.as_secs_f64();
 
     println!("offered     {frames}");
@@ -712,10 +850,7 @@ fn stream_mode(args: &[String]) {
     println!("throughput  {throughput:.1} frames/s");
     println!(
         "latency     mean {:.6}s  p50 {:.6}s  p95 {:.6}s  max {:.6}s",
-        mean,
-        pct(0.50),
-        pct(0.95),
-        pct(1.0)
+        latency.mean, latency.median, latency.p95, latency.max
     );
     println!("slot arenas fresh allocs {warm_allocs} -> {end_allocs}, {outstanding} B outstanding");
 
@@ -737,10 +872,10 @@ fn stream_mode(args: &[String]) {
         failed: summary.failed,
         completed: summary.completed,
         degraded: summary.degraded,
-        mean_s: mean,
-        p50_s: pct(0.50),
-        p95_s: pct(0.95),
-        max_s: pct(1.0),
+        mean_s: latency.mean,
+        p50_s: latency.median,
+        p95_s: latency.p95,
+        max_s: latency.max,
         throughput_fps: throughput,
         wall_s: wall.as_secs_f64(),
         warm_allocs,
@@ -748,14 +883,11 @@ fn stream_mode(args: &[String]) {
         outstanding,
         mismatched,
     };
-    if let Err(e) = write_stream_json(&json_path, &report) {
-        eprintln!("cannot write {json_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {json_path}");
+    println!();
+    write_output(json_path, stream_json(&report));
 
     if telemetry {
-        telemetry_report(&telemetry_path);
+        telemetry_report(telemetry_path);
     }
 
     if quick {
@@ -856,35 +988,26 @@ fn energy() {
     }
 }
 
+/// Prints one kernel × image row of two timings and their ratio, and
+/// appends the same row to `csv`.
+fn report_row(csv: &mut String, kernel: Kernel, res: Resolution, a: f64, b: f64) {
+    let (k, r) = (kernel.table3_label(), res.label());
+    println!("{k:<10} {r:>11} {a:>12.6} {b:>12.6} {:>8.2}x", a / b);
+    csv.push_str(&format!("{k},{r},{a:.6},{b:.6},{:.3}\n", a / b));
+}
+
 /// Fused mode: band-tiled fused pipeline vs the two-pass kernels on this
 /// machine, native engine, paper protocol — the A4 locality experiment.
 fn fused_mode(args: &[String]) {
     use repro_harness::timing::measure_fused;
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let full = args.iter().any(|a| a == "--full");
-    let csv_path = flag_value(args, "--csv");
-    let telemetry = telemetry_requested(args);
-    let telemetry_path =
-        flag_value(args, "--json").unwrap_or_else(|| "results/telemetry_fused.json".into());
-    let config = if quick {
-        HostConfig::quick()
-    } else {
-        HostConfig::default()
-    };
-    let resolutions: &[Resolution] = if full {
-        &Resolution::ALL
-    } else if quick {
-        &[Resolution::Vga]
-    } else {
-        &[Resolution::Vga, Resolution::Mp1]
-    };
+    let t = Timing::parse("fused", args, &["--csv", "--json"]);
     const STENCILS: [Kernel; 3] = [Kernel::Gaussian, Kernel::Sobel, Kernel::Edge];
 
     println!("Fused mode: band-tiled fused pipeline vs two-pass (native engine)");
     println!(
         "protocol: {} images x {} cycles per point\n",
-        config.images, config.cycles
+        t.config.images, t.config.cycles
     );
     println!(
         "{:<10} {:>11} {:>12} {:>12} {:>9}",
@@ -892,163 +1015,76 @@ fn fused_mode(args: &[String]) {
     );
     let mut csv = String::from("kernel,image,two_pass_seconds,fused_seconds,speedup\n");
     let engine = host_hand_engine();
-    for &res in resolutions {
-        let work = WorkSet::new(res, config.images);
+    for &res in t.resolutions {
+        let work = WorkSet::new(res, t.config.images);
         for kernel in STENCILS {
-            let two_pass = measure(kernel, engine, &work, &config);
-            let fused = measure_fused(kernel, engine, &work, &config);
-            println!(
-                "{:<10} {:>11} {:>12.6} {:>12.6} {:>8.2}x",
-                kernel.table3_label(),
-                res.label(),
-                two_pass.seconds,
-                fused.seconds,
-                two_pass.seconds / fused.seconds
-            );
-            csv.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.3}\n",
-                kernel.table3_label(),
-                res.label(),
-                two_pass.seconds,
-                fused.seconds,
-                two_pass.seconds / fused.seconds
-            ));
+            let two_pass = measure(kernel, engine, &work, &t.config);
+            let fused = measure_fused(kernel, engine, &work, &t.config);
+            report_row(&mut csv, kernel, res, two_pass.seconds, fused.seconds);
         }
     }
-    if let Some(path) = csv_path {
-        if let Err(e) = std::fs::write(&path, csv) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote {path}");
-    }
-    if telemetry {
-        telemetry_report(&telemetry_path);
-    }
+    t.finish(csv, "results/telemetry_fused.json");
 }
 
-/// Parallel mode: dispatch overhead of the persistent work-stealing pool
-/// vs the per-call-spawn baseline, under the paper's timing protocol.
-/// The pool is installed at width 4 so the real scheduler runs even on
-/// single-core hosts (ISSUE 2: dispatch overhead dominated exactly where
-/// the paper's low-powered-platform story lives).
+/// Parallel mode: the band-parallel fused pipeline on the persistent
+/// work-stealing pool vs the sequential fused kernels, under the paper's
+/// timing protocol. The pool is installed at width 4 so the real
+/// scheduler runs even on single-core hosts, where dispatch overhead
+/// dominates exactly as on the paper's low-powered platforms.
 fn parallel_mode(args: &[String]) {
-    use repro_harness::timing::{measure_fused, measure_parallel, ParallelMode};
+    use repro_harness::timing::{measure_fused, measure_parallel};
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let full = args.iter().any(|a| a == "--full");
-    let csv_path = flag_value(args, "--csv");
-    let telemetry = telemetry_requested(args);
-    let telemetry_path =
-        flag_value(args, "--json").unwrap_or_else(|| "results/telemetry_parallel.json".into());
-    let config = if quick {
-        HostConfig::quick()
-    } else {
-        HostConfig::default()
-    };
-    let resolutions: &[Resolution] = if full {
-        &Resolution::ALL
-    } else if quick {
-        &[Resolution::Vga]
-    } else {
-        &[Resolution::Vga, Resolution::Mp1]
-    };
+    let t = Timing::parse("parallel", args, &["--csv", "--json"]);
     const STENCILS: [Kernel; 3] = [Kernel::Gaussian, Kernel::Sobel, Kernel::Edge];
     const WIDTH: usize = 4;
 
-    println!("Parallel mode: persistent pool vs per-call thread spawning (native engine)");
+    println!("Parallel mode: persistent pool vs sequential fused (native engine)");
     println!(
         "pool width {WIDTH}; protocol: {} images x {} cycles per point\n",
-        config.images, config.cycles
+        t.config.images, t.config.cycles
     );
     println!(
-        "{:<10} {:>11} {:>12} {:>12} {:>12} {:>9}",
-        "kernel", "image", "seq (s)", "spawn (s)", "pool (s)", "pool gain"
+        "{:<10} {:>11} {:>12} {:>12} {:>9}",
+        "kernel", "image", "seq (s)", "pool (s)", "pool gain"
     );
-    let mut csv = String::from("kernel,image,seq_seconds,spawn_seconds,pool_seconds,pool_gain\n");
+    let mut csv = String::from("kernel,image,seq_seconds,pool_seconds,pool_gain\n");
     let engine = host_hand_engine();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(WIDTH)
         .build()
         .expect("pool build");
-    for &res in resolutions {
-        let work = WorkSet::new(res, config.images);
+    for &res in t.resolutions {
+        let work = WorkSet::new(res, t.config.images);
         for kernel in STENCILS {
-            let seq = measure_fused(kernel, engine, &work, &config);
-            let spawn = pool.install(|| {
-                measure_parallel(kernel, engine, ParallelMode::SpawnPerCall, &work, &config)
-            });
-            // Snapshot/reset lifecycle (DESIGN.md §9): the spawn-baseline
-            // arm runs its bands outside the pool, so its counters and
+            let seq = measure_fused(kernel, engine, &work, &t.config);
+            // Snapshot/reset lifecycle (DESIGN.md §9): the sequential arm
+            // runs its single band on this thread, so its counters and
             // span trees must not bleed into the pool arm's telemetry.
             obs::reset();
-            let pooled = pool
-                .install(|| measure_parallel(kernel, engine, ParallelMode::Pool, &work, &config));
-            println!(
-                "{:<10} {:>11} {:>12.6} {:>12.6} {:>12.6} {:>8.2}x",
-                kernel.table3_label(),
-                res.label(),
-                seq.seconds,
-                spawn.seconds,
-                pooled.seconds,
-                spawn.seconds / pooled.seconds
-            );
-            csv.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.6},{:.3}\n",
-                kernel.table3_label(),
-                res.label(),
-                seq.seconds,
-                spawn.seconds,
-                pooled.seconds,
-                spawn.seconds / pooled.seconds
-            ));
+            let pooled = pool.install(|| measure_parallel(kernel, engine, &work, &t.config));
+            report_row(&mut csv, kernel, res, seq.seconds, pooled.seconds);
         }
     }
-    if let Some(path) = csv_path {
-        if let Err(e) = std::fs::write(&path, csv) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote {path}");
-    }
-    if telemetry {
-        // reset() runs between arms, so the report covers the pool arm
-        // of the final measured point — clean pool counters, no
-        // spawn-baseline bleed.
+    if t.telemetry {
         println!("\n(telemetry covers the final pool arm; obs::reset() isolates arms)");
-        telemetry_report(&telemetry_path);
     }
+    t.finish(csv, "results/telemetry_parallel.json");
 }
 
 /// Host mode: real measurements on this machine.
 fn host_mode(args: &[String]) {
     use repro_harness::timing::HostMeasurement;
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let full = args.iter().any(|a| a == "--full");
-    let csv_path = flag_value(args, "--csv");
-    let telemetry = telemetry_requested(args);
-    let telemetry_path =
-        flag_value(args, "--json").unwrap_or_else(|| "results/telemetry_host.json".into());
-    let bench_path =
-        flag_value(args, "--bench-json").unwrap_or_else(|| "results/bench_host.json".into());
-    let config = if quick {
-        HostConfig::quick()
-    } else {
-        HostConfig::default()
-    };
-    let resolutions: &[Resolution] = if full {
-        &Resolution::ALL
-    } else if quick {
-        &[Resolution::Vga]
-    } else {
-        &[Resolution::Vga, Resolution::Mp1]
-    };
+    let t = Timing::parse("host", args, &["--csv", "--json", "--bench-json"]);
+    let bench_path = t
+        .flags
+        .value("--bench-json")
+        .unwrap_or("results/bench_host.json");
 
     println!("Host mode: AUTO (compiler-vectorized Rust) vs HAND (native intrinsics)");
     println!(
         "protocol: {} images x {} cycles per point\n",
-        config.images, config.cycles
+        t.config.images, t.config.cycles
     );
     println!(
         "{:<10} {:>11} {:>12} {:>12} {:>9}",
@@ -1056,27 +1092,12 @@ fn host_mode(args: &[String]) {
     );
     let mut csv = String::from("kernel,image,auto_seconds,hand_seconds,speedup\n");
     let mut rows: Vec<HostMeasurement> = Vec::new();
-    for &res in resolutions {
-        let work = WorkSet::new(res, config.images);
+    for &res in t.resolutions {
+        let work = WorkSet::new(res, t.config.images);
         for kernel in Kernel::ALL {
-            let auto = measure(kernel, host_auto_engine(), &work, &config);
-            let hand = measure(kernel, host_hand_engine(), &work, &config);
-            println!(
-                "{:<10} {:>11} {:>12.6} {:>12.6} {:>8.2}x",
-                kernel.table3_label(),
-                res.label(),
-                auto.seconds,
-                hand.seconds,
-                auto.seconds / hand.seconds
-            );
-            csv.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.3}\n",
-                kernel.table3_label(),
-                res.label(),
-                auto.seconds,
-                hand.seconds,
-                auto.seconds / hand.seconds
-            ));
+            let auto = measure(kernel, host_auto_engine(), &work, &t.config);
+            let hand = measure(kernel, host_hand_engine(), &work, &t.config);
+            report_row(&mut csv, kernel, res, auto.seconds, hand.seconds);
             rows.push(auto);
             rows.push(hand);
         }
@@ -1102,22 +1123,9 @@ fn host_mode(args: &[String]) {
         );
     }
 
-    if let Err(e) = write_bench_json(&bench_path, &config, &rows) {
-        eprintln!("cannot write {bench_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {bench_path}");
-
-    if let Some(path) = csv_path {
-        if let Err(e) = std::fs::write(&path, csv) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {path}");
-    }
-    if telemetry {
-        telemetry_report(&telemetry_path);
-    }
+    println!();
+    write_output(bench_path, bench_json(&t.config, &rows));
+    t.finish(csv, "results/telemetry_host.json");
 }
 
 /// Everything the stream-mode JSON report records: configuration,
@@ -1152,7 +1160,7 @@ struct StreamReport {
 
 /// Writes the machine-readable stream-mode dump consumed by the
 /// EXPERIMENTS.md A14 throughput-vs-offered-rate analysis.
-fn write_stream_json(path: &str, r: &StreamReport) -> std::io::Result<()> {
+fn stream_json(r: &StreamReport) -> String {
     use obs::json::number;
 
     let mut out = String::from("{\n");
@@ -1192,22 +1200,13 @@ fn write_stream_json(path: &str, r: &StreamReport) -> std::io::Result<()> {
          \"outstanding_bytes\": {}}}\n}}\n",
         r.warm_allocs, r.end_allocs, r.outstanding,
     ));
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, out)
+    out
 }
 
 /// Writes the machine-readable host benchmark dump: one record per
 /// (kernel, engine, resolution) point with the full distribution summary,
 /// consumed by `scripts_merge_bench.py` to populate the BENCH trajectory.
-fn write_bench_json(
-    path: &str,
-    config: &HostConfig,
-    rows: &[repro_harness::timing::HostMeasurement],
-) -> std::io::Result<()> {
+fn bench_json(config: &HostConfig, rows: &[repro_harness::timing::HostMeasurement]) -> String {
     use obs::json::number;
 
     let mut out = String::from("{\n");
@@ -1236,10 +1235,5 @@ fn write_bench_json(
         ));
     }
     out.push_str("  ]\n}\n");
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, out)
+    out
 }

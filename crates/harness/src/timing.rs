@@ -191,7 +191,7 @@ pub fn measure_fused(
 ) -> HostMeasurement {
     use simdbench_core::kernelgen::paper_gaussian_kernel;
     use simdbench_core::pipeline::{
-        fused_edge_detect_with, fused_gaussian_blur_with, fused_sobel_with,
+        try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
     };
     use simdbench_core::scratch::Scratch;
 
@@ -206,23 +206,19 @@ pub fn measure_fused(
     let gk = paper_gaussian_kernel();
 
     let _span = obs::span(kernel.table3_label());
-    let run_once = |img_idx: usize| match kernel {
-        Kernel::Gaussian => {
-            fused_gaussian_blur_with(&work.gray[img_idx], &mut dst_u8, &gk, engine, &mut scratch);
+    let run_once = |img_idx: usize| {
+        let src = &work.gray[img_idx];
+        match kernel {
+            Kernel::Gaussian => {
+                try_fused_gaussian_blur_with(src, &mut dst_u8, &gk, engine, &mut scratch)
+            }
+            Kernel::Sobel => {
+                try_fused_sobel_with(src, &mut dst_i16, SobelDirection::X, engine, &mut scratch)
+            }
+            Kernel::Edge => try_fused_edge_detect_with(src, &mut dst_u8, 96, engine, &mut scratch),
+            Kernel::Convert | Kernel::Threshold => unreachable!("handled above"),
         }
-        Kernel::Sobel => {
-            fused_sobel_with(
-                &work.gray[img_idx],
-                &mut dst_i16,
-                SobelDirection::X,
-                engine,
-                &mut scratch,
-            );
-        }
-        Kernel::Edge => {
-            fused_edge_detect_with(&work.gray[img_idx], &mut dst_u8, 96, engine, &mut scratch);
-        }
-        Kernel::Convert | Kernel::Threshold => unreachable!("handled above"),
+        .expect("fused pass over a valid work-set frame");
     };
 
     let (mean, samples) = run_protocol(work, config, run_once);
@@ -236,33 +232,21 @@ pub fn measure_fused(
     }
 }
 
-/// Which scheduler drives a parallel measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelMode {
-    /// The persistent work-stealing pool (`par_fused_*_with`).
-    Pool,
-    /// Per-call `std::thread` spawning — the pre-pool baseline, kept
-    /// solely so the dispatch-overhead improvement stays measurable.
-    SpawnPerCall,
-}
-
-/// Times the band-parallel fused pipeline for one stencil kernel under
-/// the chosen [`ParallelMode`], with the same paper protocol as
-/// [`measure`]. Pointwise kernels have no banded variant and return via
-/// [`measure`] unchanged (their row loops go through the same pool, but
-/// the pool-vs-spawn comparison is the stencils' dispatch story).
+/// Times the band-parallel fused pipeline for one stencil kernel on the
+/// persistent worker pool at the current width, with the same paper
+/// protocol as [`measure`]. Pointwise kernels have no banded variant and
+/// return via [`measure`] unchanged (their row loops go through the same
+/// pool).
 pub fn measure_parallel(
     kernel: Kernel,
     engine: Engine,
-    mode: ParallelMode,
     work: &WorkSet,
     config: &HostConfig,
 ) -> HostMeasurement {
     use simdbench_core::kernelgen::paper_gaussian_kernel;
     use simdbench_core::pipeline::{
-        par_fused_edge_detect_spawn_baseline, par_fused_edge_detect_with,
-        par_fused_gaussian_blur_spawn_baseline, par_fused_gaussian_blur_with,
-        par_fused_sobel_spawn_baseline, par_fused_sobel_with, BandPlan,
+        try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
+        BandPlan,
     };
 
     if matches!(kernel, Kernel::Convert | Kernel::Threshold) {
@@ -278,27 +262,17 @@ pub fn measure_parallel(
     let _span = obs::span(kernel.table3_label());
     let run_once = |img_idx: usize| {
         let src = &work.gray[img_idx];
-        match (kernel, mode) {
-            (Kernel::Gaussian, ParallelMode::Pool) => {
-                par_fused_gaussian_blur_with(src, &mut dst_u8, &gk, engine, &plan);
+        match kernel {
+            Kernel::Gaussian => {
+                try_par_fused_gaussian_blur_with(src, &mut dst_u8, &gk, engine, &plan)
             }
-            (Kernel::Gaussian, ParallelMode::SpawnPerCall) => {
-                par_fused_gaussian_blur_spawn_baseline(src, &mut dst_u8, &gk, engine, &plan);
+            Kernel::Sobel => {
+                try_par_fused_sobel_with(src, &mut dst_i16, SobelDirection::X, engine, &plan)
             }
-            (Kernel::Sobel, ParallelMode::Pool) => {
-                par_fused_sobel_with(src, &mut dst_i16, SobelDirection::X, engine, &plan);
-            }
-            (Kernel::Sobel, ParallelMode::SpawnPerCall) => {
-                par_fused_sobel_spawn_baseline(src, &mut dst_i16, SobelDirection::X, engine, &plan);
-            }
-            (Kernel::Edge, ParallelMode::Pool) => {
-                par_fused_edge_detect_with(src, &mut dst_u8, 96, engine, &plan);
-            }
-            (Kernel::Edge, ParallelMode::SpawnPerCall) => {
-                par_fused_edge_detect_spawn_baseline(src, &mut dst_u8, 96, engine, &plan);
-            }
-            (Kernel::Convert | Kernel::Threshold, _) => unreachable!("handled above"),
+            Kernel::Edge => try_par_fused_edge_detect_with(src, &mut dst_u8, 96, engine, &plan),
+            Kernel::Convert | Kernel::Threshold => unreachable!("handled above"),
         }
+        .expect("parallel fused pass over a valid work-set frame");
     };
 
     let (mean, samples) = run_protocol(work, config, run_once);
@@ -388,20 +362,12 @@ mod tests {
     fn parallel_measurement_produces_sane_numbers() {
         let work = WorkSet::new(Resolution::Vga, 2);
         let config = HostConfig::quick();
-        for mode in [ParallelMode::Pool, ParallelMode::SpawnPerCall] {
-            let m = measure_parallel(Kernel::Edge, Engine::Native, mode, &work, &config);
-            assert!(m.seconds > 0.0, "{mode:?}");
-            assert!(m.seconds < 1.0, "VGA parallel edge should be far under 1s");
-            assert_eq!(m.runs, 4);
-        }
+        let m = measure_parallel(Kernel::Edge, Engine::Native, &work, &config);
+        assert!(m.seconds > 0.0);
+        assert!(m.seconds < 1.0, "VGA parallel edge should be far under 1s");
+        assert_eq!(m.runs, 4);
         // Pointwise kernels route through the plain measurement.
-        let m = measure_parallel(
-            Kernel::Convert,
-            Engine::Native,
-            ParallelMode::Pool,
-            &work,
-            &config,
-        );
+        let m = measure_parallel(Kernel::Convert, Engine::Native, &work, &config);
         assert!(m.seconds > 0.0);
     }
 

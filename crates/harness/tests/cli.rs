@@ -113,12 +113,12 @@ fn repro_parallel_quick_reports_dispatch_gain() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("persistent pool vs per-call thread spawning"));
+    assert!(text.contains("persistent pool vs sequential fused"));
     assert!(text.contains("pool gain"));
     let csv_text = std::fs::read_to_string(&csv).unwrap();
     // Header + the three stencil kernels at VGA.
     assert_eq!(csv_text.lines().count(), 4);
-    assert!(csv_text.starts_with("kernel,image,seq_seconds,spawn_seconds,pool_seconds,pool_gain"));
+    assert!(csv_text.starts_with("kernel,image,seq_seconds,pool_seconds,pool_gain"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -265,6 +265,34 @@ fn repro_rejects_unknown_command() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown command"));
+}
+
+/// Runs `repro` with `args` and asserts it exits with code 2, naming
+/// `reason` and printing a usage line on stderr.
+fn assert_usage_error(args: &[&str], reason: &str) {
+    let out = repro().args(args).output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(err.contains(reason), "{args:?}: {err}");
+    assert!(err.contains("usage: repro"), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} did work before failing");
+}
+
+#[test]
+fn repro_rejects_malformed_flags_with_a_usage_line() {
+    // Unknown flags.
+    assert_usage_error(&["stream", "--bogus"], "unknown flag --bogus");
+    assert_usage_error(&["fused", "--cvs", "x.csv"], "unknown flag --cvs");
+    assert_usage_error(&["table1", "--full"], "unknown flag --full");
+    // A value flag without its value.
+    assert_usage_error(&["fused", "--csv"], "--csv needs a value");
+    assert_usage_error(&["chaos", "--seed", "--quick"], "--seed needs a value");
+    // Numbers that do not parse.
+    assert_usage_error(&["stream", "--frames", "abc"], "not a number: abc");
+    assert_usage_error(&["chaos", "--seed", "-1"], "--seed: not a number: -1");
+    // Unknown kernel and image names.
+    assert_usage_error(&["stream", "--kernel", "sharpen"], "unknown sharpen");
+    assert_usage_error(&["stream", "--image", "4k"], "--image: unknown 4k");
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! ("Uncompressed bitmap images ... were used for all experiments").
 
 use crate::image::Image;
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Errors from BMP decoding.
 #[derive(Debug, PartialEq, Eq)]
@@ -38,46 +37,48 @@ fn row_size_bytes(width: usize, bits: usize) -> usize {
     (width * bits).div_ceil(32) * 4
 }
 
+/// Starts a BMP buffer with its 14-byte file header and 40-byte
+/// BITMAPINFOHEADER (bottom-up rows, no compression, 72 dpi).
+fn headers(w: usize, h: usize, bpp: u16, palette_entries: u32) -> Vec<u8> {
+    let row = row_size_bytes(w, bpp as usize);
+    let data_offset = FILE_HEADER_LEN + INFO_HEADER_LEN + palette_entries as usize * 4;
+    let file_len = data_offset + row * h;
+    let mut out = Vec::with_capacity(file_len);
+    // File header.
+    out.extend_from_slice(b"BM");
+    out.extend_from_slice(&(file_len as u32).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&(data_offset as u32).to_le_bytes());
+    // Info header (BITMAPINFOHEADER).
+    out.extend_from_slice(&(INFO_HEADER_LEN as u32).to_le_bytes());
+    out.extend_from_slice(&(w as i32).to_le_bytes());
+    out.extend_from_slice(&(h as i32).to_le_bytes()); // positive: bottom-up
+    out.extend_from_slice(&1u16.to_le_bytes()); // planes
+    out.extend_from_slice(&bpp.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // BI_RGB
+    out.extend_from_slice(&((row * h) as u32).to_le_bytes());
+    out.extend_from_slice(&2835i32.to_le_bytes()); // 72 dpi
+    out.extend_from_slice(&2835i32.to_le_bytes());
+    out.extend_from_slice(&palette_entries.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out
+}
+
 /// Encodes a grayscale image as an 8-bit palettised BMP.
 pub fn encode_gray(img: &Image<u8>) -> Vec<u8> {
     let (w, h) = (img.width(), img.height());
-    let row = row_size_bytes(w, 8);
-    let palette_len = 256 * 4;
-    let data_offset = FILE_HEADER_LEN + INFO_HEADER_LEN + palette_len;
-    let file_len = data_offset + row * h;
-
-    let mut out = BytesMut::with_capacity(file_len);
-    // File header.
-    out.put_slice(b"BM");
-    out.put_u32_le(file_len as u32);
-    out.put_u32_le(0);
-    out.put_u32_le(data_offset as u32);
-    // Info header (BITMAPINFOHEADER).
-    out.put_u32_le(INFO_HEADER_LEN as u32);
-    out.put_i32_le(w as i32);
-    out.put_i32_le(h as i32); // positive: bottom-up
-    out.put_u16_le(1); // planes
-    out.put_u16_le(8); // bpp
-    out.put_u32_le(0); // BI_RGB
-    out.put_u32_le((row * h) as u32);
-    out.put_i32_le(2835); // 72 dpi
-    out.put_i32_le(2835);
-    out.put_u32_le(256); // palette entries
-    out.put_u32_le(0);
+    let mut out = headers(w, h, 8, 256);
     // Grayscale palette.
-    for i in 0..256u32 {
-        out.put_u8(i as u8);
-        out.put_u8(i as u8);
-        out.put_u8(i as u8);
-        out.put_u8(0);
+    for i in 0..=255u8 {
+        out.extend_from_slice(&[i, i, i, 0]);
     }
     // Pixel rows, bottom-up, padded to 4 bytes.
-    let pad = row - w;
+    let pad = row_size_bytes(w, 8) - w;
     for y in (0..h).rev() {
-        out.put_slice(img.row(y));
-        out.put_bytes(0, pad);
+        out.extend_from_slice(img.row(y));
+        out.resize(out.len() + pad, 0);
     }
-    out.to_vec()
+    out
 }
 
 /// Encodes three channel planes (B, G, R order per BMP convention) as a
@@ -88,37 +89,16 @@ pub fn encode_bgr(b: &Image<u8>, g: &Image<u8>, r: &Image<u8>) -> Vec<u8> {
     assert_eq!(b.height(), g.height());
     assert_eq!(b.height(), r.height());
     let (w, h) = (b.width(), b.height());
-    let row = row_size_bytes(w, 24);
-    let data_offset = FILE_HEADER_LEN + INFO_HEADER_LEN;
-    let file_len = data_offset + row * h;
-
-    let mut out = BytesMut::with_capacity(file_len);
-    out.put_slice(b"BM");
-    out.put_u32_le(file_len as u32);
-    out.put_u32_le(0);
-    out.put_u32_le(data_offset as u32);
-    out.put_u32_le(INFO_HEADER_LEN as u32);
-    out.put_i32_le(w as i32);
-    out.put_i32_le(h as i32);
-    out.put_u16_le(1);
-    out.put_u16_le(24);
-    out.put_u32_le(0);
-    out.put_u32_le((row * h) as u32);
-    out.put_i32_le(2835);
-    out.put_i32_le(2835);
-    out.put_u32_le(0);
-    out.put_u32_le(0);
-    let pad = row - 3 * w;
+    let mut out = headers(w, h, 24, 0);
+    let pad = row_size_bytes(w, 24) - 3 * w;
     for y in (0..h).rev() {
         let (rb, rg, rr) = (b.row(y), g.row(y), r.row(y));
         for x in 0..w {
-            out.put_u8(rb[x]);
-            out.put_u8(rg[x]);
-            out.put_u8(rr[x]);
+            out.extend_from_slice(&[rb[x], rg[x], rr[x]]);
         }
-        out.put_bytes(0, pad);
+        out.resize(out.len() + pad, 0);
     }
-    out.to_vec()
+    out
 }
 
 /// Decoded BMP content.
@@ -131,6 +111,13 @@ pub enum Decoded {
     Bgr(Image<u8>, Image<u8>, Image<u8>),
 }
 
+/// The `N` bytes at `off`, or `Truncated` when `data` ends first.
+fn field<const N: usize>(data: &[u8], off: usize) -> Result<[u8; N], BmpError> {
+    data.get(off..off + N)
+        .and_then(|bytes| bytes.try_into().ok())
+        .ok_or(BmpError::Truncated)
+}
+
 /// Decodes an 8-bit palettised or 24-bit uncompressed BMP.
 pub fn decode(data: &[u8]) -> Result<Decoded, BmpError> {
     if data.len() < FILE_HEADER_LEN + INFO_HEADER_LEN {
@@ -139,18 +126,17 @@ pub fn decode(data: &[u8]) -> Result<Decoded, BmpError> {
     if &data[0..2] != b"BM" {
         return Err(BmpError::BadMagic);
     }
-    let mut hdr = data;
-    hdr.advance(10);
-    let data_offset = hdr.get_u32_le() as usize;
-    let info_len = hdr.get_u32_le() as usize;
+    let u32_at = |off| field(data, off).map(u32::from_le_bytes);
+    let i32_at = |off| field(data, off).map(i32::from_le_bytes);
+    let data_offset = u32_at(10)? as usize;
+    let info_len = u32_at(14)? as usize;
     if info_len < INFO_HEADER_LEN {
         return Err(BmpError::Unsupported("pre-BITMAPINFOHEADER format"));
     }
-    let width_raw = hdr.get_i32_le();
-    let height_raw = hdr.get_i32_le();
-    let _planes = hdr.get_u16_le();
-    let bpp = hdr.get_u16_le();
-    let compression = hdr.get_u32_le();
+    let width_raw = i32_at(18)?;
+    let height_raw = i32_at(22)?;
+    let bpp = u16::from_le_bytes(field(data, 28)?);
+    let compression = u32_at(30)?;
     if compression != 0 {
         return Err(BmpError::Unsupported("compressed BMP"));
     }
@@ -158,19 +144,21 @@ pub fn decode(data: &[u8]) -> Result<Decoded, BmpError> {
         return Err(BmpError::Malformed("non-positive width"));
     }
     let width = width_raw as usize;
-    let (height, bottom_up) = if height_raw >= 0 {
-        (height_raw as usize, true)
-    } else {
-        ((-height_raw) as usize, false)
-    };
-    hdr.advance(12);
+    let (height, bottom_up) = (height_raw.unsigned_abs() as usize, height_raw >= 0);
     let palette_count = {
-        let declared = hdr.get_u32_le() as usize;
+        let declared = u32_at(46)? as usize;
         if bpp == 8 && declared == 0 {
             256
         } else {
             declared
         }
+    };
+    // Whether `height` rows of `row` bytes fit in `data` (a size that
+    // overflows cannot).
+    let rows_fit = |row: usize| {
+        row.checked_mul(height)
+            .and_then(|len| len.checked_add(data_offset))
+            .is_some_and(|end| end <= data.len())
     };
 
     match bpp {
@@ -188,7 +176,7 @@ pub fn decode(data: &[u8]) -> Result<Decoded, BmpError> {
                 *l = ((299 * r + 587 * g + 114 * b) / 1000) as u8;
             }
             let row = row_size_bytes(width, 8);
-            if data.len() < data_offset + row * height {
+            if !rows_fit(row) {
                 return Err(BmpError::Truncated);
             }
             let mut img = Image::new(width, height);
@@ -204,7 +192,7 @@ pub fn decode(data: &[u8]) -> Result<Decoded, BmpError> {
         }
         24 => {
             let row = row_size_bytes(width, 24);
-            if data.len() < data_offset + row * height {
+            if !rows_fit(row) {
                 return Err(BmpError::Truncated);
             }
             let mut b = Image::new(width, height);
@@ -300,6 +288,16 @@ mod tests {
             Err(BmpError::Truncated) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn hostile_header_sizes_are_truncated_not_panics() {
+        let mut bytes = encode_gray(&Image::from_fn(4, 4, |_, _| 0));
+        bytes[22..26].copy_from_slice(&i32::MIN.to_le_bytes()); // top-down height
+        assert_eq!(decode(&bytes).unwrap_err(), BmpError::Truncated);
+        bytes[18..22].copy_from_slice(&i32::MAX.to_le_bytes()); // width
+        bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes()); // pixel offset
+        assert_eq!(decode(&bytes).unwrap_err(), BmpError::Truncated);
     }
 
     #[test]

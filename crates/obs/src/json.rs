@@ -1,10 +1,10 @@
 //! Minimal JSON emission for telemetry snapshots.
 //!
-//! The workspace's `serde` is an offline no-op shim (derive-only, no
-//! runtime), so machine-readable output is hand-assembled here: a small
-//! string-escaping writer plus one function shaping a
-//! [`Snapshot`](crate::Snapshot) into the documented schema. The schema
-//! is part of the telemetry contract (DESIGN.md §9):
+//! The workspace has no serialization dependency, so machine-readable
+//! output is hand-assembled here: a small string-escaping writer plus
+//! one function shaping a [`Snapshot`](crate::Snapshot) into the
+//! documented schema. The schema is part of the telemetry contract
+//! (DESIGN.md §9):
 //!
 //! ```json
 //! {

@@ -10,10 +10,9 @@
 
 use crate::spec::Isa;
 use crate::workload::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// What gcc 4.6 actually produced for a kernel's hot loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AutovecOutcome {
     /// Fully scalar loop with a per-element library call — the ARM
     /// float→short loop (`bl lrint` in the Section V listing).

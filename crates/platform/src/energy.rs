@@ -10,10 +10,9 @@ use crate::predict::predict_seconds;
 use crate::spec::PlatformSpec;
 use crate::workload::{Kernel, Strategy};
 use pixelimage::Resolution;
-use serde::{Deserialize, Serialize};
 
 /// The introduction's three-tier efficiency classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EfficiencyTier {
     /// ≈1 GFLOPS/W — desktop and server processors.
     Tier1Desktop,

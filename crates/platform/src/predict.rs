@@ -5,10 +5,9 @@ use crate::pipeline::{compute_cycles_per_pixel, total_cycles_per_pixel, Bound};
 use crate::spec::PlatformSpec;
 use crate::workload::{dram_bytes_per_pixel, mix_for, Kernel, Strategy};
 use pixelimage::Resolution;
-use serde::{Deserialize, Serialize};
 
 /// A single predicted measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Prediction {
     /// Platform short label.
     pub platform: String,

@@ -1,10 +1,8 @@
 //! Platform description: the Table I columns plus the microarchitectural
 //! parameters the timing model needs.
 
-use serde::{Deserialize, Serialize};
-
 /// Which SIMD instruction set the platform's HAND kernels use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
     /// Intel SSE2 (all four Intel platforms).
     Sse2,
@@ -27,7 +25,7 @@ impl Isa {
 /// vectorization than the out-of-order i7/A9 parts, because an in-order
 /// pipeline cannot hide the long scalar instruction streams that gcc's
 /// auto-vectorizer leaves behind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Microarch {
     /// Stalls on every dependence; effective IPC ≈ 1.
     InOrder,
@@ -55,7 +53,7 @@ impl Microarch {
 }
 
 /// One of the ten evaluation platforms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformSpec {
     /// Display name, matching Table I ("Intel Atom D510", ...).
     pub name: &'static str,

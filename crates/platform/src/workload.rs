@@ -12,14 +12,13 @@
 use crate::spec::Isa;
 use op_trace::{OpClass, OpMix, NUM_OP_CLASSES};
 use pixelimage::Image;
-use serde::{Deserialize, Serialize};
 use simdbench_core::dispatch::Engine;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// The five benchmarks (Table II row 1 is `Convert`; Table III rows are the
 /// other four).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Benchmark 1 — float→short saturating conversion.
     Convert,
@@ -68,7 +67,7 @@ impl Kernel {
 
 /// AUTO (compiler auto-vectorized original source) vs HAND (intrinsics) —
 /// the paper's two measurement configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// gcc 4.6 `-O3` with vectorization flags on the unmodified source.
     Auto,
@@ -87,7 +86,7 @@ impl Strategy {
 }
 
 /// A fractional per-output-pixel instruction mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PixelMix(pub [f64; NUM_OP_CLASSES]);
 
 impl PixelMix {

@@ -730,39 +730,6 @@ where
     pool.push(target, Task::Once(Box::new(f)));
 }
 
-/// The pre-pool scheduling, kept as a measurement baseline: spawns one
-/// scoped OS thread per contiguous chunk on **every call** and joins them
-/// before returning. The dispatch-overhead benchmark runs this against
-/// the persistent pool; nothing else should use it.
-pub fn spawn_baseline_for_each<F>(range: Range<usize>, f: F)
-where
-    F: Fn(usize) + Send + Sync,
-{
-    let len = range.end.saturating_sub(range.start);
-    let threads = current_num_threads().max(1);
-    if threads == 1 || len <= 1 {
-        for i in range {
-            f(i);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let f = &f;
-    let base = range.start;
-    std::thread::scope(|s| {
-        let mut lo = 0;
-        while lo < len {
-            let hi = (lo + chunk).min(len);
-            s.spawn(move || {
-                for i in lo..hi {
-                    f(base + i);
-                }
-            });
-            lo = hi;
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Public rayon-compatible surface
 // ---------------------------------------------------------------------------
@@ -1230,26 +1197,6 @@ mod tests {
                 }
             });
         });
-    }
-
-    #[test]
-    fn spawn_baseline_matches_pool_results() {
-        let pool_sum = AtomicUsize::new(0);
-        wide_pool().install(|| {
-            (0..257usize).into_par_iter().for_each(|i| {
-                pool_sum.fetch_add(i, Ordering::Relaxed);
-            });
-        });
-        let spawn_sum = AtomicUsize::new(0);
-        wide_pool().install(|| {
-            super::spawn_baseline_for_each(0..257, |i| {
-                spawn_sum.fetch_add(i, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(
-            pool_sum.load(Ordering::Relaxed),
-            spawn_sum.load(Ordering::Relaxed)
-        );
     }
 
     /// Scheduler stress: thousands of small jobs, including concurrent

@@ -9,11 +9,10 @@
 //! [`OpMix`]es.
 
 use crate::{OpClass, OpMix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One side of a HAND-vs-AUTO comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamProfile {
     /// Label shown in the report (e.g. `"HAND (NEON intrinsics)"`).
     pub label: String,
@@ -45,7 +44,7 @@ impl StreamProfile {
 }
 
 /// A HAND-vs-AUTO comparison for one kernel, as in the paper's Section V.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamComparison {
     /// Kernel name (e.g. `"convert f32->i16"`).
     pub kernel: String,
@@ -112,7 +111,7 @@ impl StreamComparison {
 }
 
 /// Summary statistics over several kernels' comparisons.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisSummary {
     /// (kernel name, AUTO:HAND instruction ratio) pairs.
     pub ratios: Vec<(String, f64)>,
@@ -148,7 +147,7 @@ impl AnalysisSummary {
 
 /// Classifies the dominant cost of a mix — a coarse bottleneck indicator used
 /// in reports ("why did the Tegra T30 not benefit as much?").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// Most ops are SIMD compute.
     SimdCompute,

@@ -1,7 +1,6 @@
 //! Aggregated instruction mixes.
 
 use crate::{OpClass, NUM_OP_CLASSES};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul};
 
@@ -11,7 +10,7 @@ use std::ops::{Add, AddAssign, Mul};
 /// simulated intrinsics under a [`crate::TraceGuard`]) or by *modelling* it
 /// (the gcc-4.6-shaped AUTO streams derived from the paper's Section V
 /// disassembly). Both feed the platform timing model identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpMix {
     counts: [u64; NUM_OP_CLASSES],
 }

@@ -12,11 +12,14 @@
 #
 # Stage order keeps the fail-fast suites (pool stress, chaos matrix,
 # stream smoke, telemetry) ahead of the full test sweep so scheduler,
-# fault-tolerance, and streaming regressions surface in seconds.
+# fault-tolerance, and streaming regressions surface in seconds. The
+# perfbench stage runs the benchmark's self-tests, which call the
+# pipeline, pool and stream surfaces the benchmark measures, so a drift
+# between those surfaces and the benchmark fails CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build pool-stress chaos-stress stream-smoke telemetry test workspace-test clippy fmt)
+STAGES=(build pool-stress chaos-stress stream-smoke telemetry test workspace-test perfbench clippy fmt)
 if [[ "${CI_PERF:-0}" == "1" ]]; then
   STAGES+=(perf)
 fi
@@ -51,6 +54,10 @@ stage_test() {
 
 stage_workspace_test() {
   cargo test --workspace -q
+}
+
+stage_perfbench() {
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_clippy() {
