@@ -119,6 +119,13 @@ pub fn default_engine() -> Engine {
 mod tests {
     use super::*;
 
+    /// The flag's resting value, read under `TOGGLE_LOCK` so it can never
+    /// observe a sibling test's [`with_use_optimized`] section mid-flip.
+    fn resting_use_optimized() -> bool {
+        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        use_optimized()
+    }
+
     #[test]
     fn labels_are_unique() {
         let labels: std::collections::HashSet<_> = Engine::ALL.iter().map(|e| e.label()).collect();
@@ -146,19 +153,19 @@ mod tests {
 
     #[test]
     fn with_use_optimized_restores_on_panic() {
-        let initial = use_optimized();
+        let initial = resting_use_optimized();
         let result = std::panic::catch_unwind(|| {
             with_use_optimized(!initial, || panic!("boom"));
         });
         assert!(result.is_err());
-        assert_eq!(use_optimized(), initial, "flag leaked after panic");
+        assert_eq!(resting_use_optimized(), initial, "flag leaked after panic");
     }
 
     #[test]
     fn with_use_optimized_sections_are_serialised() {
         // Hammer the flag from many threads; each section must only ever
         // observe its own value, and the initial value must survive.
-        let initial = use_optimized();
+        let initial = resting_use_optimized();
         std::thread::scope(|s| {
             for i in 0..8 {
                 s.spawn(move || {
@@ -177,7 +184,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(use_optimized(), initial);
+        assert_eq!(resting_use_optimized(), initial);
     }
 
     #[test]

@@ -44,6 +44,17 @@ fn submit_closed_loop(engine: &StreamEngine, id: u64, src: &Arc<Image<u8>>) {
     }
 }
 
+/// Waits up to 10 s for at least `want` pool workers to be live and
+/// returns the census. A worker counts itself live only once its thread
+/// has started, and respawns are asynchronous.
+fn live_workers_after_wait(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rayon::pool_live_workers() < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    rayon::pool_live_workers()
+}
+
 #[test]
 fn overload_sheds_cleanly_and_worker_death_loses_nothing() {
     faultline::disarm_all();
@@ -150,7 +161,7 @@ fn overload_sheds_cleanly_and_worker_death_loses_nothing() {
     // respawns workers underneath the stream.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // injected panics by design
-    let complement = rayon::pool_live_workers();
+    let complement = live_workers_after_wait(rayon::current_num_threads());
     let engine = StreamEngine::new(config(w, h)).expect("engine");
     faultline::arm("pool.worker", faultline::Action::Panic, 0.5, 9004);
     for id in 0..20u64 {
@@ -169,13 +180,9 @@ fn overload_sheds_cleanly_and_worker_death_loses_nothing() {
             other => panic!("frame {} lost to worker death: {other:?}", o.id),
         }
     }
-    // The complement restores once the deaths stop (respawns are async).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rayon::pool_live_workers() < complement && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The complement restores once the deaths stop.
     assert!(
-        rayon::pool_live_workers() >= complement,
+        live_workers_after_wait(complement) >= complement,
         "pool complement not restored after injected worker deaths"
     );
 }

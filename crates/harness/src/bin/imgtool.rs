@@ -58,9 +58,13 @@ fn parse_options(args: &[String]) -> Options {
             })
         };
         match flag.as_str() {
-            "--thresh" => opts.thresh = value("number").parse().unwrap_or(128),
-            "--sigma" => opts.sigma = value("number").parse().unwrap_or(1.0),
-            "--ksize" => opts.ksize = value("odd number").parse().unwrap_or(7),
+            "--thresh" => opts.thresh = number(flag, &value("number 0-255"), |_| true),
+            "--sigma" => {
+                opts.sigma = number(flag, &value("positive number"), |s: &f64| {
+                    s.is_finite() && *s > 0.0
+                })
+            }
+            "--ksize" => opts.ksize = number(flag, &value("odd number"), |k| k % 2 == 1),
             "--engine" => {
                 let name = value("engine name");
                 opts.engine = Engine::ALL
@@ -78,6 +82,18 @@ fn parse_options(args: &[String]) -> Options {
         }
     }
     opts
+}
+
+/// Parses `text`, the value given for `flag`, as a `T` that passes
+/// `valid`; anything else is a usage error.
+fn number<T: std::str::FromStr>(flag: &str, text: &str, valid: impl Fn(&T) -> bool) -> T {
+    match text.parse() {
+        Ok(v) if valid(&v) => v,
+        _ => {
+            eprintln!("invalid {flag} value: {text}");
+            usage()
+        }
+    }
 }
 
 fn load_gray(path: &str) -> Image<u8> {
@@ -136,7 +152,7 @@ fn main() {
     match command.as_str() {
         "blur" => {
             let mut dst = Image::new(w, h);
-            gaussian_blur_with(&src, &mut dst, opts.sigma, opts.ksize | 1, opts.engine);
+            gaussian_blur_with(&src, &mut dst, opts.sigma, opts.ksize, opts.engine);
             save_gray(output, &dst);
         }
         "edges" => {

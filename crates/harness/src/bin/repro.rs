@@ -10,6 +10,7 @@
 //! repro host [--quick] [--full] [--csv FILE]  # AUTO vs HAND on THIS machine
 //! repro fused [--quick] [--full] [--csv FILE] # fused vs two-pass pipeline
 //! repro parallel [--quick] [--full] [--csv FILE] # pool vs sequential fused
+//! repro extensions [--quick] [--full] [--csv FILE] # A5/A6/A9 AUTO vs HAND, A8 AVX2 vs SSE2
 //! repro stats [--full] [--json FILE] # instrumented exercise -> telemetry report
 //! repro chaos [--seed N] [--quick]   # fault-injection matrix over the fused pipeline
 //! repro stream [--quick] [--frames N] [--rate FPS] [--json FILE]
@@ -20,7 +21,8 @@
 //! repro all                    # everything except host mode
 //! ```
 //!
-//! `host`, `fused`, `parallel` and `stream` also accept `--telemetry`:
+//! `host`, `fused`, `parallel`, `extensions` and `stream` also accept
+//! `--telemetry`:
 //! the run executes with the `obs` layer enabled and finishes with the
 //! span-tree / counter / histogram report plus a machine-readable JSON
 //! dump. Telemetry output is namespaced per subcommand
@@ -42,7 +44,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
     let flagged = [
-        "host", "fused", "parallel", "stats", "chaos", "stream", "csv",
+        "host",
+        "fused",
+        "parallel",
+        "extensions",
+        "stats",
+        "chaos",
+        "stream",
+        "csv",
     ];
     if !flagged.contains(&command) && args.len() > 1 {
         Flags::parse(command, &args[1..], &[], &[]);
@@ -61,6 +70,7 @@ fn main() {
         "host" => host_mode(&args[1..]),
         "fused" => fused_mode(&args[1..]),
         "parallel" => parallel_mode(&args[1..]),
+        "extensions" => extensions_mode(&args[1..]),
         "stats" => stats_mode(&args[1..]),
         "chaos" => chaos_mode(&args[1..]),
         "stream" => stream_mode(&args[1..]),
@@ -93,7 +103,7 @@ fn main() {
         other => {
             eprintln!("unknown command: {other}");
             eprintln!(
-                "usage: repro [table1|table2|table3|figure2..figure6|asm-analysis|energy|host|fused|parallel|stats|chaos|stream|all]"
+                "usage: repro [table1|table2|table3|figure2..figure6|asm-analysis|energy|host|fused|parallel|extensions|stats|chaos|stream|all]"
             );
             std::process::exit(2);
         }
@@ -218,7 +228,8 @@ impl Flags {
     }
 }
 
-/// What the timing subcommands (`host`, `fused`, `parallel`) share:
+/// What the timing subcommands (`host`, `fused`, `parallel`,
+/// `extensions`) share:
 /// `--quick`/`--full` pick the protocol and resolutions, `--csv` names
 /// the table dump and `--telemetry` turns on the `obs` report.
 struct Timing {
@@ -371,7 +382,7 @@ fn chaos_mode(args: &[String]) {
     use simdbench_core::scratch::{self, Scratch};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let flags = Flags::parse("chaos", args, &["--quick"], &["--seed"]);
     let seed: u64 = flags.number("--seed").unwrap_or(42);
@@ -449,7 +460,7 @@ fn chaos_mode(args: &[String]) {
         try_par_fused_edge_detect_with(&src, &mut par_dst, 96, engine, &plan)
             .expect("disarmed warm-up run");
     });
-    let complement = rayon::pool_live_workers();
+    let complement = live_workers_after_wait(pool.current_num_threads());
 
     let mut violations: Vec<String> = Vec::new();
     println!(
@@ -529,12 +540,8 @@ fn chaos_mode(args: &[String]) {
     }
 
     // Invariant: the pool returns to its full worker complement once the
-    // injected deaths stop (respawns are asynchronous; give them time).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rayon::pool_live_workers() < complement && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let live = rayon::pool_live_workers();
+    // injected deaths stop.
+    let live = live_workers_after_wait(complement);
     if live < complement {
         violations.push(format!(
             "pool complement not restored: {live}/{complement} workers live"
@@ -633,6 +640,19 @@ fn chaos_mode(args: &[String]) {
         }
         std::process::exit(1);
     }
+}
+
+/// Waits up to 10 s for at least `want` pool workers to be live and
+/// returns the census. A worker counts itself live only once its thread
+/// has started, and respawns are asynchronous.
+fn live_workers_after_wait(want: usize) -> usize {
+    use std::time::{Duration, Instant};
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rayon::pool_live_workers() < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    rayon::pool_live_workers()
 }
 
 /// Stream mode: drives N synthetic frames through the multi-frame
@@ -988,12 +1008,12 @@ fn energy() {
     }
 }
 
-/// Prints one kernel × image row of two timings and their ratio, and
+/// Prints one `label` × image row of two timings and their ratio, and
 /// appends the same row to `csv`.
-fn report_row(csv: &mut String, kernel: Kernel, res: Resolution, a: f64, b: f64) {
-    let (k, r) = (kernel.table3_label(), res.label());
-    println!("{k:<10} {r:>11} {a:>12.6} {b:>12.6} {:>8.2}x", a / b);
-    csv.push_str(&format!("{k},{r},{a:.6},{b:.6},{:.3}\n", a / b));
+fn report_row(csv: &mut String, label: &str, res: Resolution, a: f64, b: f64) {
+    let r = res.label();
+    println!("{label:<14} {r:>11} {a:>12.6} {b:>12.6} {:>8.2}x", a / b);
+    csv.push_str(&format!("{label},{r},{a:.6},{b:.6},{:.3}\n", a / b));
 }
 
 /// Fused mode: band-tiled fused pipeline vs the two-pass kernels on this
@@ -1010,7 +1030,7 @@ fn fused_mode(args: &[String]) {
         t.config.images, t.config.cycles
     );
     println!(
-        "{:<10} {:>11} {:>12} {:>12} {:>9}",
+        "{:<14} {:>11} {:>12} {:>12} {:>9}",
         "kernel", "image", "2-pass (s)", "fused (s)", "speed-up"
     );
     let mut csv = String::from("kernel,image,two_pass_seconds,fused_seconds,speedup\n");
@@ -1020,7 +1040,8 @@ fn fused_mode(args: &[String]) {
         for kernel in STENCILS {
             let two_pass = measure(kernel, engine, &work, &t.config);
             let fused = measure_fused(kernel, engine, &work, &t.config);
-            report_row(&mut csv, kernel, res, two_pass.seconds, fused.seconds);
+            let label = kernel.table3_label();
+            report_row(&mut csv, label, res, two_pass.seconds, fused.seconds);
         }
     }
     t.finish(csv, "results/telemetry_fused.json");
@@ -1044,7 +1065,7 @@ fn parallel_mode(args: &[String]) {
         t.config.images, t.config.cycles
     );
     println!(
-        "{:<10} {:>11} {:>12} {:>12} {:>9}",
+        "{:<14} {:>11} {:>12} {:>12} {:>9}",
         "kernel", "image", "seq (s)", "pool (s)", "pool gain"
     );
     let mut csv = String::from("kernel,image,seq_seconds,pool_seconds,pool_gain\n");
@@ -1062,13 +1083,97 @@ fn parallel_mode(args: &[String]) {
             // span trees must not bleed into the pool arm's telemetry.
             obs::reset();
             let pooled = pool.install(|| measure_parallel(kernel, engine, &work, &t.config));
-            report_row(&mut csv, kernel, res, seq.seconds, pooled.seconds);
+            let label = kernel.table3_label();
+            report_row(&mut csv, label, res, seq.seconds, pooled.seconds);
         }
     }
     if t.telemetry {
         println!("\n(telemetry covers the final pool arm; obs::reset() isolates arms)");
     }
     t.finish(csv, "results/telemetry_parallel.json");
+}
+
+/// Extensions mode: the related-work kernels on this machine under the
+/// paper protocol. A5 colour conversion, A6 2x downsampling and A9 median
+/// blur run AUTO vs HAND; A8 times the AVX2 widenings of the convert and
+/// threshold rows against the SSE2 rows they replace.
+fn extensions_mode(args: &[String]) {
+    use pixelimage::Image;
+    use simdbench_core::{avx, color, convert, median, resize, threshold, ThresholdType};
+    type ConvertRow = fn(&[f32], &mut [i16]);
+    type ThresholdRow = fn(&[u8], &mut [u8], u8, u8, ThresholdType);
+
+    let t = Timing::parse("extensions", args, &["--csv", "--json"]);
+    let avx2 = avx::avx2_available();
+
+    println!("Extensions mode: AUTO vs HAND (A5/A6/A9), SSE2 vs AVX2 rows (A8)");
+    println!(
+        "protocol: {} images x {} cycles per point\n",
+        t.config.images, t.config.cycles
+    );
+    println!(
+        "{:<14} {:>11} {:>12} {:>12} {:>9}",
+        "kernel", "image", "base (s)", "new (s)", "speed-up"
+    );
+    let mut csv = String::from("kernel,image,base_seconds,new_seconds,speedup\n");
+    let (cfg, engines) = (&t.config, [host_auto_engine(), host_hand_engine()]);
+    for &res in t.resolutions {
+        let work = WorkSet::new(res, t.config.images);
+        let (w, h) = res.dims();
+        let n = work.gray.len();
+        let mut dst = Image::<u8>::new(w, h);
+        let mut half = Image::<u8>::new(w / 2, h / 2);
+        let mut short = Image::<i16>::new(w, h);
+        compare_arms(&mut csv, "color", &work, cfg, engines, |i, engine| {
+            // Three consecutive suite images stand in for the B, G, R planes.
+            let [b, g, r] = [i, i + 1, i + 2].map(|j| &work.gray[j % n]);
+            color::bgr_to_gray(b, g, r, &mut dst, engine);
+        });
+        compare_arms(&mut csv, "downsample", &work, cfg, engines, |i, engine| {
+            resize::downsample2x(&work.gray[i], &mut half, engine);
+        });
+        compare_arms(&mut csv, "median", &work, cfg, engines, |i, engine| {
+            median::median_blur3(&work.gray[i], &mut dst, engine);
+        });
+        if !avx2 {
+            continue;
+        }
+        let arms: [ConvertRow; 2] = [convert::convert_row_native, avx::convert_row_avx2];
+        compare_arms(&mut csv, "convert_avx2", &work, cfg, arms, |i, row| {
+            for y in 0..h {
+                row(work.float[i].row(y), short.row_mut(y));
+            }
+        });
+        let arms: [ThresholdRow; 2] = [threshold::threshold_row_native, avx::threshold_row_avx2];
+        compare_arms(&mut csv, "threshold_avx2", &work, cfg, arms, |i, row| {
+            for y in 0..h {
+                let (src, out) = (work.gray[i].row(y), dst.row_mut(y));
+                row(src, out, 128, 255, ThresholdType::Binary);
+            }
+        });
+    }
+    if !avx2 {
+        println!("convert_avx2, threshold_avx2: skipped (no AVX2 on this host)");
+    }
+    t.finish(csv, "results/telemetry_extensions.json");
+}
+
+/// Times `run` once per arm under the paper protocol (`run` gets the
+/// work-set image index and the arm) and reports the two means as one
+/// row: the first arm is the base, the second the new code.
+fn compare_arms<A: Copy>(
+    csv: &mut String,
+    label: &'static str,
+    work: &WorkSet,
+    config: &HostConfig,
+    arms: [A; 2],
+    mut run: impl FnMut(usize, A),
+) {
+    use repro_harness::timing::run_protocol;
+
+    let _span = obs::span(label);
+    let [base, new] = arms.map(|arm| run_protocol(work, config, |i| run(i, arm)).0);
+    report_row(csv, label, work.resolution, base, new);
 }
 
 /// Host mode: real measurements on this machine.
@@ -1087,7 +1192,7 @@ fn host_mode(args: &[String]) {
         t.config.images, t.config.cycles
     );
     println!(
-        "{:<10} {:>11} {:>12} {:>12} {:>9}",
+        "{:<14} {:>11} {:>12} {:>12} {:>9}",
         "kernel", "image", "AUTO (s)", "HAND (s)", "speed-up"
     );
     let mut csv = String::from("kernel,image,auto_seconds,hand_seconds,speedup\n");
@@ -1097,7 +1202,8 @@ fn host_mode(args: &[String]) {
         for kernel in Kernel::ALL {
             let auto = measure(kernel, host_auto_engine(), &work, &t.config);
             let hand = measure(kernel, host_hand_engine(), &work, &t.config);
-            report_row(&mut csv, kernel, res, auto.seconds, hand.seconds);
+            let label = kernel.table3_label();
+            report_row(&mut csv, label, res, auto.seconds, hand.seconds);
             rows.push(auto);
             rows.push(hand);
         }

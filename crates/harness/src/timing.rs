@@ -75,8 +75,9 @@ impl HostMeasurement {
 /// Runs the paper protocol over `run_once`: warm-up passes untimed, then
 /// `images × cycles` individually-timed passes. Each pass also feeds the
 /// `harness.pass_ns` telemetry histogram when telemetry is enabled.
+/// `run_once` gets the index of the work-set image to process.
 /// Returns `(mean_seconds, samples)`.
-fn run_protocol(
+pub fn run_protocol(
     work: &WorkSet,
     config: &HostConfig,
     mut run_once: impl FnMut(usize),

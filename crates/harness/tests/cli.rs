@@ -123,6 +123,39 @@ fn repro_parallel_quick_reports_dispatch_gain() {
 }
 
 #[test]
+fn repro_extensions_quick_reports_every_row() {
+    let dir = temp_dir("extensions");
+    let csv = dir.join("extensions.csv");
+    let out = repro()
+        .args(["extensions", "--quick", "--csv", csv.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let row = |label: &str| {
+        text.lines()
+            .any(|l| l.starts_with(&format!("{label} ")) && l.contains("640x480"))
+    };
+    for label in ["color", "downsample", "median"] {
+        assert!(row(label), "missing {label} row:\n{text}");
+    }
+    // The AVX2 rows run only on AVX2 hosts; elsewhere one line says so.
+    let skipped = text.contains("convert_avx2, threshold_avx2: skipped");
+    assert_eq!(row("convert_avx2"), !skipped, "{text}");
+    assert_eq!(row("threshold_avx2"), !skipped, "{text}");
+    let csv_text = std::fs::read_to_string(&csv).unwrap();
+    assert!(csv_text.starts_with("kernel,image,base_seconds,new_seconds,speedup\n"));
+    // Header + three AUTO vs HAND rows (+ two AVX2 rows) at VGA.
+    let rows = if skipped { 4 } else { 6 };
+    assert_eq!(csv_text.lines().count(), rows, "{csv_text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn repro_host_telemetry_prints_report_and_writes_json() {
     let dir = temp_dir("host-telemetry");
     let telemetry = dir.join("telemetry.json");
@@ -284,6 +317,7 @@ fn repro_rejects_malformed_flags_with_a_usage_line() {
     assert_usage_error(&["stream", "--bogus"], "unknown flag --bogus");
     assert_usage_error(&["fused", "--cvs", "x.csv"], "unknown flag --cvs");
     assert_usage_error(&["table1", "--full"], "unknown flag --full");
+    assert_usage_error(&["extensions", "--bogus"], "unknown flag --bogus");
     // A value flag without its value.
     assert_usage_error(&["fused", "--csv"], "--csv needs a value");
     assert_usage_error(&["chaos", "--seed", "--quick"], "--seed needs a value");
@@ -377,4 +411,32 @@ fn imgtool_rejects_bad_engine_and_missing_file() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // Values that do not parse or are out of range are usage errors,
+    // caught before the (missing) input is read or any output written.
+    let dir = temp_dir("imgtool-bad-values");
+    let missing = dir.join("missing.bmp");
+    let output = dir.join("out.bmp");
+    for (command, flag, value) in [
+        ("threshold", "--thresh", "300"),
+        ("edges", "--thresh", "-1"),
+        ("blur", "--sigma", "abc"),
+        ("blur", "--sigma", "0"),
+        ("blur", "--sigma", "-1.5"),
+        ("blur", "--sigma", "nan"),
+        ("blur", "--sigma", "inf"),
+        ("blur", "--ksize", "abc"),
+        ("blur", "--ksize", "8"),
+    ] {
+        let out = imgtool()
+            .args([command, missing.to_str().unwrap(), output.to_str().unwrap()])
+            .args([flag, value])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(err.contains("usage: imgtool"), "{flag} {value}: {err}");
+        assert!(!output.exists(), "{flag} {value} wrote output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -31,6 +31,21 @@ fn expected_sum(n: usize) -> usize {
     n * (n + 1) / 2
 }
 
+/// Waits until at least `want` pool workers are live; fails the test if
+/// the census is still short after a 10 s window.
+fn wait_for_live_workers(want: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rayon::pool_live_workers() < want {
+        assert!(
+            Instant::now() < deadline,
+            "pool stuck at {}/{} live workers after 10 s",
+            rayon::pool_live_workers(),
+            want
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn pool_self_heals_under_injected_faults() {
     faultline::disarm_all();
@@ -44,10 +59,13 @@ fn pool_self_heals_under_injected_faults() {
         .build()
         .expect("pool build");
 
-    // Warm-up: spawn the workers and establish the healthy complement.
+    // Warm-up: spawn the workers and establish the healthy complement. A
+    // worker counts itself live only once its thread has started, so wait
+    // for the census to reach the pool width before taking the snapshot.
     let (panicked, sum) = par_sum(&pool, 503);
     assert!(!panicked);
     assert_eq!(sum, expected_sum(503));
+    wait_for_live_workers(pool.current_num_threads());
     let complement = rayon::pool_live_workers();
     assert!(complement >= 4, "complement = {complement}");
 
@@ -62,16 +80,7 @@ fn pool_self_heals_under_injected_faults() {
         assert_eq!(sum, expected_sum(257), "worker death lost work");
     }
     faultline::disarm("pool.worker");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rayon::pool_live_workers() < complement {
-        assert!(
-            Instant::now() < deadline,
-            "pool stuck at {}/{} workers after respawn window",
-            rayon::pool_live_workers(),
-            complement
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for_live_workers(complement);
     let snap = obs::snapshot();
     assert!(
         snap.counter(obs::Counter::PoolRespawns) >= 1,

@@ -11,7 +11,8 @@
 #                                 (threshold via CI_PERF_THRESHOLD, %)
 #
 # Stage order keeps the fail-fast suites (pool stress, chaos matrix,
-# stream smoke, telemetry) ahead of the full test sweep so scheduler,
+# repeated runs of the suites sharing process-global state, stream smoke,
+# telemetry) ahead of the full test sweep so scheduler,
 # fault-tolerance, and streaming regressions surface in seconds. The
 # perfbench stage runs the benchmark's self-tests, which call the
 # pipeline, pool and stream surfaces the benchmark measures, so a drift
@@ -19,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build pool-stress chaos-stress stream-smoke telemetry test workspace-test perfbench clippy fmt)
+STAGES=(build pool-stress chaos-stress repeat stream-smoke telemetry test workspace-test perfbench clippy fmt)
 if [[ "${CI_PERF:-0}" == "1" ]]; then
   STAGES+=(perf)
 fi
@@ -35,6 +36,27 @@ stage_pool_stress() {
 stage_chaos_stress() {
   cargo test -q -p rayon --test chaos
   cargo run -q --release -p repro-harness --bin repro -- chaos --quick --seed 42
+}
+
+stage_repeat() {
+  # These suites share process-global state (the optimisation flag, the
+  # pool's worker census, armed failpoints) across threads, so a race in
+  # them can pass a single run. Run each 20 times; stop at the first
+  # failure and show its output.
+  local suite run out
+  for suite in \
+    "-p simdbench-core --lib dispatch" \
+    "-p rayon --test chaos" \
+    "-p simdbench-core --test stream_faults"; do
+    for run in $(seq 20); do
+      # shellcheck disable=SC2086 # $suite is a list of cargo arguments
+      if ! out=$(cargo test -q $suite 2>&1); then
+        printf '%s\n' "$out"
+        echo "cargo test -q $suite failed on run $run of 20" >&2
+        return 1
+      fi
+    done
+  done
 }
 
 stage_stream_smoke() {

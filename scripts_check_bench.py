@@ -11,8 +11,7 @@ threshold (default 10%, override with the CI_PERF_THRESHOLD env var,
 in percent). The gate prints a per-kernel delta table, flags every
 regression, and exits nonzero if any exist. Points present on only one
 side (a new kernel, a retired one) are reported but never fail the
-gate. Stdlib-only, like its siblings scripts_merge_bench.py and
-scripts_extract_bench.py.
+gate. Stdlib-only, like its sibling scripts_merge_bench.py.
 
 Run from CI via `CI_PERF=1 scripts/ci.sh` (or `scripts/ci.sh --stage
 perf`), which benches first and then invokes this check; refresh the

@@ -13,8 +13,8 @@ idempotent). Telemetry output is namespaced per subcommand
 (results/telemetry_<cmd>.json); when the host run was taken with
 --telemetry, its counters from results/telemetry_host.json are attached
 to the run entry so the trajectory carries pool/scratch counters next
-to the timings. Sibling of scripts_extract_bench.py, which summarises
-criterion output; this one owns the repro-host side.
+to the timings. Sibling of scripts_check_bench.py, which gates a fresh
+dump against the trajectory this script builds.
 """
 import datetime
 import json
