@@ -23,20 +23,7 @@ pub const WEIGHT_B: u16 = 3735;
 const ROUND: u32 = 1 << 14;
 
 /// Converts planar B, G, R images to grayscale using `engine`.
-pub fn bgr_to_gray(
-    b: &Image<u8>,
-    g: &Image<u8>,
-    r: &Image<u8>,
-    dst: &mut Image<u8>,
-    engine: Engine,
-) {
-    if let Err(e) = try_bgr_to_gray(b, g, r, dst, engine) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`bgr_to_gray`]: validates geometry (including the
-/// cross-plane channel agreement) instead of asserting.
+/// Validates geometry, including the cross-plane channel agreement.
 pub fn try_bgr_to_gray(
     b: &Image<u8>,
     g: &Image<u8>,
@@ -226,7 +213,7 @@ mod tests {
         let v = synthetic_image(50, 20, 1);
         let mut out = Image::new(50, 20);
         for engine in Engine::ALL {
-            bgr_to_gray(&v, &v, &v, &mut out, engine);
+            try_bgr_to_gray(&v, &v, &v, &mut out, engine).unwrap();
             assert!(out.pixels_eq(&v), "{engine:?}");
         }
     }
@@ -237,7 +224,7 @@ mod tests {
         let g = synthetic_image(83, 31, 11);
         let r = synthetic_image(83, 31, 12);
         let mut reference = Image::new(83, 31);
-        bgr_to_gray(&b, &g, &r, &mut reference, Engine::Scalar);
+        try_bgr_to_gray(&b, &g, &r, &mut reference, Engine::Scalar).unwrap();
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -245,7 +232,7 @@ mod tests {
             Engine::Native,
         ] {
             let mut out = Image::new(83, 31);
-            bgr_to_gray(&b, &g, &r, &mut out, engine);
+            try_bgr_to_gray(&b, &g, &r, &mut out, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{engine:?}");
         }
     }
@@ -256,16 +243,16 @@ mod tests {
         let zero = Image::from_fn(8, 1, |_, _| 0u8);
         let mut out = Image::new(8, 1);
         // Pure red: 255 * 9798 / 32768 ~ 76.
-        bgr_to_gray(&zero, &zero, &full, &mut out, Engine::Native);
+        try_bgr_to_gray(&zero, &zero, &full, &mut out, Engine::Native).unwrap();
         assert_eq!(out.get(0, 0), 76);
         // Pure green: ~150.
-        bgr_to_gray(&zero, &full, &zero, &mut out, Engine::Native);
+        try_bgr_to_gray(&zero, &full, &zero, &mut out, Engine::Native).unwrap();
         assert_eq!(out.get(0, 0), 150);
         // Pure blue: ~29.
-        bgr_to_gray(&full, &zero, &zero, &mut out, Engine::Native);
+        try_bgr_to_gray(&full, &zero, &zero, &mut out, Engine::Native).unwrap();
         assert_eq!(out.get(0, 0), 29);
         // White stays white.
-        bgr_to_gray(&full, &full, &full, &mut out, Engine::Native);
+        try_bgr_to_gray(&full, &full, &full, &mut out, Engine::Native).unwrap();
         assert_eq!(out.get(0, 0), 255);
     }
 
@@ -307,12 +294,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "channel dimensions differ")]
-    fn mismatched_channels_panic() {
+    fn mismatched_channels_are_an_error() {
         let b = Image::<u8>::new(4, 4);
         let g = Image::<u8>::new(5, 4);
         let r = Image::<u8>::new(4, 4);
         let mut out = Image::new(4, 4);
-        bgr_to_gray(&b, &g, &r, &mut out, Engine::Scalar);
+        assert_eq!(
+            try_bgr_to_gray(&b, &g, &r, &mut out, Engine::Scalar),
+            Err(KernelError::ChannelMismatch {
+                expected: (4, 4),
+                got: (5, 4)
+            })
+        );
     }
 }

@@ -16,7 +16,8 @@ use simd_vector::rounding::saturate_f32_to_i16;
 
 /// Converts a float image to a saturated `i16` image using `engine`.
 ///
-/// `src` and `dst` must have identical dimensions.
+/// `src` and `dst` must have identical, non-zero dimensions; a malformed
+/// frame surfaces as a [`KernelError`](crate::error::KernelError).
 ///
 /// # Domain
 ///
@@ -25,15 +26,6 @@ use simd_vector::rounding::saturate_f32_to_i16;
 /// indefinite" value `0x8000_0000` where NEON and the scalar `cvRound`
 /// saturate — a quirk the paper's (and OpenCV's) SSE2 kernel has on real
 /// hardware, reproduced faithfully here.
-pub fn convert_f32_to_i16(src: &Image<f32>, dst: &mut Image<i16>, engine: Engine) {
-    if let Err(e) = try_convert_f32_to_i16(src, dst, engine) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`convert_f32_to_i16`]: validates geometry instead of
-/// asserting, so a malformed frame surfaces as a
-/// [`KernelError`](crate::error::KernelError) rather than unwinding.
 pub fn try_convert_f32_to_i16(
     src: &Image<f32>,
     dst: &mut Image<i16>,
@@ -187,6 +179,7 @@ fn convert_row_native_neon(src: &[f32], dst: &mut [i16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::KernelError;
     use pixelimage::synthetic_image_f32;
 
     fn reference(src: &[f32]) -> Vec<i16> {
@@ -229,7 +222,7 @@ mod tests {
         // Scale into a range that exercises saturation both ways.
         let src = srcu8.map(|v| (v - 128.0) * 400.0);
         let mut reference_img = Image::new(src.width(), src.height());
-        convert_f32_to_i16(&src, &mut reference_img, Engine::Scalar);
+        try_convert_f32_to_i16(&src, &mut reference_img, Engine::Scalar).unwrap();
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -237,7 +230,7 @@ mod tests {
             Engine::Native,
         ] {
             let mut out = Image::new(src.width(), src.height());
-            convert_f32_to_i16(&src, &mut out, engine);
+            try_convert_f32_to_i16(&src, &mut out, engine).unwrap();
             assert!(out.pixels_eq(&reference_img), "engine {engine:?} diverged");
         }
     }
@@ -246,7 +239,7 @@ mod tests {
     fn saturation_is_exercised() {
         let src = Image::<f32>::from_fn(16, 1, |x, _| if x % 2 == 0 { 1e6 } else { -1e6 });
         let mut dst = Image::new(16, 1);
-        convert_f32_to_i16(&src, &mut dst, Engine::Native);
+        try_convert_f32_to_i16(&src, &mut dst, Engine::Native).unwrap();
         for x in 0..16 {
             let expect = if x % 2 == 0 { i16::MAX } else { i16::MIN };
             assert_eq!(dst.get(x, 0), expect);
@@ -254,11 +247,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn dimension_mismatch_panics() {
+    fn dimension_mismatch_is_an_error() {
         let src = Image::<f32>::new(4, 4);
         let mut dst = Image::<i16>::new(5, 4);
-        convert_f32_to_i16(&src, &mut dst, Engine::Scalar);
+        assert_eq!(
+            try_convert_f32_to_i16(&src, &mut dst, Engine::Scalar),
+            Err(KernelError::WidthMismatch { src: 4, dst: 5 })
+        );
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! The paper switches its NEON/SSE2 optimizations ON and OFF "using the
 //! OpenCV function `cv::setUseOptimized(bool onOff)` with the benchmarks
-//! labelled accordingly". [`set_use_optimized`] reproduces that global
-//! toggle; [`Engine`] is the finer-grained per-call selector the harness
-//! uses to measure each backend independently.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+//! labelled accordingly". Here every kernel takes its [`Engine`] as an
+//! argument, so there is no process-global switch:
+//! [`Engine::for_use_optimized`] is the pure form of that mapping, and the
+//! harness picks each backend per call to measure it independently.
 
 /// Which implementation of a kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +50,8 @@ impl Engine {
         matches!(self, Engine::Sse2Sim | Engine::NeonSim | Engine::Native)
     }
 
-    /// The engine `set_use_optimized(true)` selects on this host.
+    /// The best engine this host runs: `Native` where real SSE2/NEON
+    /// exists, `Autovec` elsewhere.
     pub fn best_available() -> Engine {
         if cfg!(any(target_arch = "x86_64", target_arch = "aarch64")) {
             Engine::Native
@@ -60,71 +59,21 @@ impl Engine {
             Engine::Autovec
         }
     }
-}
 
-static USE_OPTIMIZED: AtomicBool = AtomicBool::new(true);
-
-/// Serialises scoped flag flips so concurrent [`with_use_optimized`]
-/// sections (e.g. parallel `#[test]`s) never interleave their
-/// set/observe/restore windows.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Globally enables (HAND) or disables (AUTO) the optimized intrinsic
-/// kernels, like `cv::setUseOptimized`.
-pub fn set_use_optimized(on: bool) {
-    USE_OPTIMIZED.store(on, Ordering::Relaxed);
-}
-
-/// Runs `f` with the global flag set to `on`, then restores the previous
-/// value — even if `f` panics.
-///
-/// Sections are mutually exclusive across threads, so code observing
-/// [`default_engine`] inside one can never see a value leaked from a
-/// half-finished flip elsewhere. Tests toggling the flag must use this
-/// instead of raw [`set_use_optimized`] pairs, which are not
-/// exception-safe and race under the parallel test runner.
-pub fn with_use_optimized<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    // A panic inside a previous section poisons the mutex *after* its
-    // Restore drop ran, so the flag is already consistent: keep going.
-    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_use_optimized(self.0);
+    /// The engine `cv::setUseOptimized(on)` selects: the best available
+    /// engine when `on` (HAND), the scalar loop otherwise (AUTO).
+    pub fn for_use_optimized(on: bool) -> Engine {
+        if on {
+            Engine::best_available()
+        } else {
+            Engine::Scalar
         }
-    }
-    let _restore = Restore(use_optimized());
-
-    set_use_optimized(on);
-    f()
-}
-
-/// Current global optimization flag.
-pub fn use_optimized() -> bool {
-    USE_OPTIMIZED.load(Ordering::Relaxed)
-}
-
-/// The engine implied by the global flag: `Native` (or the best available)
-/// when optimized, `Scalar` otherwise.
-pub fn default_engine() -> Engine {
-    if use_optimized() {
-        Engine::best_available()
-    } else {
-        Engine::Scalar
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The flag's resting value, read under `TOGGLE_LOCK` so it can never
-    /// observe a sibling test's [`with_use_optimized`] section mid-flip.
-    fn resting_use_optimized() -> bool {
-        let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        use_optimized()
-    }
 
     #[test]
     fn labels_are_unique() {
@@ -142,49 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn global_toggle_switches_default_engine() {
-        with_use_optimized(false, || {
-            assert_eq!(default_engine(), Engine::Scalar);
-        });
-        with_use_optimized(true, || {
-            assert!(default_engine().is_hand() || default_engine() == Engine::Autovec);
-        });
-    }
-
-    #[test]
-    fn with_use_optimized_restores_on_panic() {
-        let initial = resting_use_optimized();
-        let result = std::panic::catch_unwind(|| {
-            with_use_optimized(!initial, || panic!("boom"));
-        });
-        assert!(result.is_err());
-        assert_eq!(resting_use_optimized(), initial, "flag leaked after panic");
-    }
-
-    #[test]
-    fn with_use_optimized_sections_are_serialised() {
-        // Hammer the flag from many threads; each section must only ever
-        // observe its own value, and the initial value must survive.
-        let initial = resting_use_optimized();
-        std::thread::scope(|s| {
-            for i in 0..8 {
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        let on = i % 2 == 0;
-                        with_use_optimized(on, || {
-                            assert_eq!(use_optimized(), on);
-                            let want = if on {
-                                Engine::best_available()
-                            } else {
-                                Engine::Scalar
-                            };
-                            assert_eq!(default_engine(), want);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(resting_use_optimized(), initial);
+    fn use_optimized_maps_to_hand_or_scalar() {
+        assert_eq!(Engine::for_use_optimized(false), Engine::Scalar);
+        assert_eq!(Engine::for_use_optimized(true), Engine::best_available());
     }
 
     #[test]

@@ -12,15 +12,7 @@ use crate::threshold::{threshold_row, ThresholdType};
 use pixelimage::Image;
 
 /// Runs the full edge-detection pipeline: Sobel X + Sobel Y → L1 magnitude
-/// → binary threshold at `thresh`.
-pub fn edge_detect(src: &Image<u8>, dst: &mut Image<u8>, thresh: u8, engine: Engine) {
-    if let Err(e) = try_edge_detect(src, dst, thresh, engine) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`edge_detect`]: validates geometry instead of
-/// asserting.
+/// → binary threshold at `thresh`. Validates geometry.
 pub fn try_edge_detect(
     src: &Image<u8>,
     dst: &mut Image<u8>,
@@ -33,8 +25,6 @@ pub fn try_edge_detect(
     }
     let mut gx = Image::<i16>::new(src.width(), src.height());
     let mut gy = Image::<i16>::new(src.width(), src.height());
-    // Fallible sub-passes so an injected fault inside Sobel propagates as
-    // an error instead of re-panicking through the shim.
     crate::sobel::try_sobel(src, &mut gx, SobelDirection::X, engine)?;
     crate::sobel::try_sobel(src, &mut gy, SobelDirection::Y, engine)?;
     let mut mag_row = vec![0u8; src.width()];
@@ -183,7 +173,7 @@ mod tests {
     fn all_engines_full_pipeline_agree() {
         let src = synthetic_image(73, 41, 29);
         let mut reference = Image::new(73, 41);
-        edge_detect(&src, &mut reference, 96, Engine::Scalar);
+        try_edge_detect(&src, &mut reference, 96, Engine::Scalar).unwrap();
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -191,7 +181,7 @@ mod tests {
             Engine::Native,
         ] {
             let mut out = Image::new(73, 41);
-            edge_detect(&src, &mut out, 96, engine);
+            try_edge_detect(&src, &mut out, 96, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{engine:?}");
         }
     }
@@ -200,7 +190,7 @@ mod tests {
     fn output_is_binary() {
         let src = synthetic_image(64, 48, 31);
         let mut out = Image::new(64, 48);
-        edge_detect(&src, &mut out, 96, Engine::Native);
+        try_edge_detect(&src, &mut out, 96, Engine::Native).unwrap();
         assert!(out.all_pixels(|p| p == 0 || p == 255));
     }
 
@@ -208,7 +198,7 @@ mod tests {
     fn step_edge_is_found() {
         let src = Image::from_fn(32, 32, |x, _| if x < 16 { 10u8 } else { 240 });
         let mut out = Image::new(32, 32);
-        edge_detect(&src, &mut out, 96, Engine::Native);
+        try_edge_detect(&src, &mut out, 96, Engine::Native).unwrap();
         // The seam columns light up; far columns stay dark.
         assert_eq!(out.get(15, 16), 255);
         assert_eq!(out.get(16, 16), 255);
@@ -220,7 +210,7 @@ mod tests {
     fn flat_image_has_no_edges() {
         let src = Image::from_fn(24, 24, |_, _| 180u8);
         let mut out = Image::new(24, 24);
-        edge_detect(&src, &mut out, 10, Engine::Native);
+        try_edge_detect(&src, &mut out, 10, Engine::Native).unwrap();
         assert!(out.all_pixels(|p| p == 0));
     }
 
@@ -229,7 +219,7 @@ mod tests {
         let src = synthetic_image(96, 64, 37);
         let count_edges = |thresh: u8| -> usize {
             let mut out = Image::new(96, 64);
-            edge_detect(&src, &mut out, thresh, Engine::Native);
+            try_edge_detect(&src, &mut out, thresh, Engine::Native).unwrap();
             out.iter_pixels().filter(|&p| p == 255).count()
         };
         let low = count_edges(32);

@@ -1,12 +1,10 @@
-//! Error taxonomy for the fallible (`try_*`) kernel entry points.
+//! Error taxonomy for the kernel entry points.
 //!
-//! The paper-faithful kernel APIs assert on malformed inputs — correct
-//! for a benchmark, fatal for a serving system. Every kernel therefore
-//! also exposes a `try_*` twin that **validates** the same preconditions
-//! and returns a [`KernelError`] instead of unwinding; the original
-//! panicking entry points are thin shims over the `try_*` forms (see
-//! [`KernelError::panic_or_ignore`]), so there is exactly one validation
-//! path and the legacy panic messages are preserved verbatim.
+//! Every image-level kernel has exactly one public entry point, a `try_*`
+//! function that **validates** its preconditions and returns a
+//! [`KernelError`] instead of unwinding. A malformed frame — including a
+//! zero-size one — is always an error the caller sees, never a silent
+//! no-op.
 //!
 //! The taxonomy covers the four failure families the fault-model design
 //! (DESIGN.md §10) calls out:
@@ -60,9 +58,8 @@ pub enum KernelError {
         /// Dimensions of the offending plane.
         got: (usize, usize),
     },
-    /// A zero-area frame (width or height of 0). The panicking shims
-    /// treat this as a no-op for backwards compatibility; the `try_*`
-    /// APIs surface it so servers can reject degenerate requests.
+    /// A zero-area frame (width or height of 0), surfaced so callers can
+    /// reject degenerate requests instead of receiving an untouched `dst`.
     ZeroSize {
         /// Frame width in pixels.
         width: usize,
@@ -115,11 +112,9 @@ pub enum KernelError {
 }
 
 impl fmt::Display for KernelError {
-    // The mismatch arms embed the exact legacy assert messages ("width
+    // The mismatch arms keep the historical assert messages ("width
     // mismatch", "height mismatch", "channel dimensions differ", "kernel
-    // must be Q8-normalised") so `should_panic(expected = ...)` tests
-    // and downstream log scrapers keep matching after the panicking
-    // wrappers became shims over try_*.
+    // must be Q8-normalised") so downstream log scrapers keep matching.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             KernelError::WidthMismatch { src, dst } => {
@@ -173,20 +168,6 @@ impl From<faultline::InjectedFault> for KernelError {
     fn from(fault: faultline::InjectedFault) -> Self {
         KernelError::FaultInjected {
             failpoint: fault.failpoint,
-        }
-    }
-}
-
-impl KernelError {
-    /// The legacy-compatibility policy of the panicking shims: zero-size
-    /// frames are silently ignored (the historical loops simply executed
-    /// zero iterations), every other error panics with the legacy
-    /// message. Shims call this in their error arm.
-    #[track_caller]
-    pub fn panic_or_ignore(self) {
-        match self {
-            KernelError::ZeroSize { .. } => {}
-            other => panic!("{other}"),
         }
     }
 }
@@ -305,20 +286,5 @@ mod tests {
         );
         let d = Image::<i16>::new(4, 6);
         assert_eq!(validate_pair(&a, &d), Ok(()));
-    }
-
-    #[test]
-    fn zero_size_is_ignored_by_the_shim_policy_and_others_panic() {
-        KernelError::ZeroSize {
-            width: 0,
-            height: 9,
-        }
-        .panic_or_ignore(); // must not panic
-        let err = std::panic::catch_unwind(|| {
-            KernelError::WidthMismatch { src: 1, dst: 2 }.panic_or_ignore()
-        })
-        .expect_err("non-ZeroSize must panic");
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("width mismatch"));
     }
 }

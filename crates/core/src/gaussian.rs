@@ -16,43 +16,17 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelError, KernelResult};
-use crate::kernelgen::{paper_gaussian_kernel, FixedKernel};
+use crate::kernelgen::FixedKernel;
 use crate::scratch::MAX_TAPS;
 use pixelimage::Image;
 
-/// Blurs `src` into `dst` with a sampled Gaussian (`ksize` odd taps,
-/// standard deviation `sigma`), using `engine` for both passes.
-pub fn gaussian_blur_with(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    sigma: f64,
-    ksize: usize,
-    engine: Engine,
-) {
-    let kernel = crate::kernelgen::gaussian_kernel_q8(sigma, ksize);
-    gaussian_blur_kernel(src, dst, &kernel, engine);
-}
-
-/// The paper's configuration: σ = 1, 7 taps.
-pub fn gaussian_blur(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
-    let kernel = paper_gaussian_kernel();
-    gaussian_blur_kernel(src, dst, &kernel, engine);
-}
-
-/// Blurs with an explicit Q8 kernel.
-pub fn gaussian_blur_kernel(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    kernel: &FixedKernel,
-    engine: Engine,
-) {
-    if let Err(e) = try_gaussian_blur_kernel(src, dst, kernel, engine) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`gaussian_blur_kernel`]: validates geometry and the
-/// kernel's Q8 normalisation instead of asserting.
+/// Blurs `src` into `dst` with an explicit Q8 kernel, using `engine` for
+/// both passes. Pass [`paper_gaussian_kernel`] for the paper's σ = 1,
+/// 7-tap configuration, or [`gaussian_kernel_q8`] for another σ and size.
+/// Validates geometry and the kernel's Q8 normalisation.
+///
+/// [`paper_gaussian_kernel`]: crate::kernelgen::paper_gaussian_kernel
+/// [`gaussian_kernel_q8`]: crate::kernelgen::gaussian_kernel_q8
 pub fn try_gaussian_blur_kernel(
     src: &Image<u8>,
     dst: &mut Image<u8>,
@@ -477,7 +451,13 @@ fn vertical_row_native_sse2(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKerne
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernelgen::{gaussian_kernel_q8, paper_gaussian_kernel};
     use pixelimage::synthetic_image;
+
+    /// The paper's σ = 1, 7-tap blur.
+    fn blur(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
+        try_gaussian_blur_kernel(src, dst, &paper_gaussian_kernel(), engine).unwrap();
+    }
 
     #[test]
     fn constant_image_is_fixed_point() {
@@ -485,7 +465,7 @@ mod tests {
         let src = Image::from_fn(40, 20, |_, _| 177u8);
         for engine in Engine::ALL {
             let mut dst = Image::new(40, 20);
-            gaussian_blur(&src, &mut dst, engine);
+            blur(&src, &mut dst, engine);
             assert!(
                 dst.all_pixels(|p| p == 177),
                 "engine {engine:?} broke constant image"
@@ -497,7 +477,7 @@ mod tests {
     fn all_engines_match_scalar() {
         let src = synthetic_image(83, 37, 21);
         let mut reference = Image::new(83, 37);
-        gaussian_blur(&src, &mut reference, Engine::Scalar);
+        blur(&src, &mut reference, Engine::Scalar);
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -505,7 +485,7 @@ mod tests {
             Engine::Native,
         ] {
             let mut out = Image::new(83, 37);
-            gaussian_blur(&src, &mut out, engine);
+            blur(&src, &mut out, engine);
             assert!(out.pixels_eq(&reference), "engine {engine:?} diverged");
         }
     }
@@ -514,7 +494,7 @@ mod tests {
     fn blur_reduces_gradient_energy() {
         let src = synthetic_image(64, 64, 5);
         let mut dst = Image::new(64, 64);
-        gaussian_blur(&src, &mut dst, Engine::Native);
+        blur(&src, &mut dst, Engine::Native);
         let energy = |img: &Image<u8>| -> u64 {
             let mut e = 0u64;
             for y in 0..img.height() {
@@ -540,7 +520,7 @@ mod tests {
         let mut src = Image::<u8>::new(15, 15);
         src.set(7, 7, 255);
         let mut dst = Image::new(15, 15);
-        gaussian_blur(&src, &mut dst, Engine::Native);
+        blur(&src, &mut dst, Engine::Native);
         let k = paper_gaussian_kernel();
         // Centre value: 255 * w[3]^2 / 2^16, rounded.
         let expect = ((255u32 * (k.weights[3] * k.weights[3]) as u32 + ROUND) >> 16) as u8;
@@ -562,7 +542,7 @@ mod tests {
         for width in 1..16 {
             let src = Image::from_fn(width, 9, |x, y| (x * 31 + y * 7) as u8);
             let mut reference = Image::new(width, 9);
-            gaussian_blur(&src, &mut reference, Engine::Scalar);
+            blur(&src, &mut reference, Engine::Scalar);
             for engine in [
                 Engine::Autovec,
                 Engine::Sse2Sim,
@@ -570,7 +550,7 @@ mod tests {
                 Engine::Native,
             ] {
                 let mut out = Image::new(width, 9);
-                gaussian_blur(&src, &mut out, engine);
+                blur(&src, &mut out, engine);
                 assert!(out.pixels_eq(&reference), "{engine:?} width {width}");
             }
         }
@@ -580,11 +560,12 @@ mod tests {
     fn different_sigmas_agree_across_engines() {
         let src = synthetic_image(50, 30, 8);
         for (sigma, ksize) in [(0.8, 5), (1.5, 9), (2.0, 13)] {
+            let kernel = gaussian_kernel_q8(sigma, ksize);
             let mut reference = Image::new(50, 30);
-            gaussian_blur_with(&src, &mut reference, sigma, ksize, Engine::Scalar);
+            try_gaussian_blur_kernel(&src, &mut reference, &kernel, Engine::Scalar).unwrap();
             for engine in [Engine::Sse2Sim, Engine::NeonSim, Engine::Native] {
                 let mut out = Image::new(50, 30);
-                gaussian_blur_with(&src, &mut out, sigma, ksize, engine);
+                try_gaussian_blur_kernel(&src, &mut out, &kernel, engine).unwrap();
                 assert!(out.pixels_eq(&reference), "{engine:?} sigma {sigma}");
             }
         }

@@ -1,6 +1,7 @@
 //! The five OpenCV-derived benchmark kernels of the paper, each implemented
-//! in multiple backends selected at run time (the `cv::setUseOptimized`
-//! mechanism the paper toggles between its AUTO and HAND measurements):
+//! in multiple backends selected per call by an [`Engine`] argument (the
+//! paper toggles AUTO and HAND with `cv::setUseOptimized`; see
+//! [`Engine::for_use_optimized`]):
 //!
 //! | Benchmark | Paper section | Module |
 //! |---|---|---|
@@ -25,6 +26,10 @@
 //!
 //! All backends of a kernel produce bit-identical output; the integration
 //! suite and property tests enforce this.
+//!
+//! Each image-level kernel has one public entry point, a fallible `try_*`
+//! function returning [`KernelResult`]: malformed geometry, including a
+//! zero-size frame, is an `Err`, never a panic or a silent no-op.
 
 #![warn(missing_docs)]
 // Kernel loops index pixels positionally (`dst[x] = f(src[x-1..x+1])`):
@@ -39,10 +44,8 @@ pub mod dispatch;
 pub mod edge;
 pub mod error;
 pub mod gaussian;
-pub mod gaussian_f32;
 pub mod kernelgen;
 pub mod median;
-pub mod parallel;
 pub mod pipeline;
 pub mod resize;
 pub mod scratch;
@@ -50,27 +53,28 @@ pub mod sobel;
 pub mod stream;
 pub mod threshold;
 
-pub use dispatch::{set_use_optimized, use_optimized, with_use_optimized, Engine};
+pub use dispatch::Engine;
 pub use error::{KernelError, KernelResult};
 pub use threshold::ThresholdType;
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
-    pub use crate::convert::convert_f32_to_i16;
-    pub use crate::dispatch::{set_use_optimized, use_optimized, with_use_optimized, Engine};
-    pub use crate::edge::edge_detect;
+    pub use crate::convert::try_convert_f32_to_i16;
+    pub use crate::dispatch::Engine;
+    pub use crate::edge::try_edge_detect;
     pub use crate::error::{KernelError, KernelResult};
-    pub use crate::gaussian::gaussian_blur;
+    pub use crate::gaussian::try_gaussian_blur_kernel;
+    pub use crate::kernelgen::paper_gaussian_kernel;
     pub use crate::pipeline::{
         try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
         try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
         BandPlan,
     };
     pub use crate::scratch::Scratch;
-    pub use crate::sobel::{sobel, SobelDirection};
+    pub use crate::sobel::{try_sobel, SobelDirection};
     pub use crate::stream::{
         FrameOutcome, FrameStatus, StreamConfig, StreamEngine, StreamError, StreamKernel,
     };
-    pub use crate::threshold::{threshold_u8, ThresholdType};
+    pub use crate::threshold::{try_threshold_u8, ThresholdType};
     pub use pixelimage::{Image, Resolution};
 }

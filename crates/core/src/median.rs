@@ -13,16 +13,14 @@
 //!    min(hi₀,hi₁,hi₂) )`.
 
 use crate::dispatch::Engine;
+use crate::error::{validate_pair, KernelResult};
 use pixelimage::Image;
 
-/// Applies a 3×3 median filter with replicated borders.
-pub fn median_blur3(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
-    assert_eq!(src.width(), dst.width(), "width mismatch");
-    assert_eq!(src.height(), dst.height(), "height mismatch");
+/// Applies a 3×3 median filter with replicated borders. Validates
+/// geometry.
+pub fn try_median_blur3(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) -> KernelResult {
+    validate_pair(src, dst)?;
     let height = src.height();
-    if height == 0 {
-        return;
-    }
     let clamp = |y: isize| y.clamp(0, height as isize - 1) as usize;
     for y in 0..height {
         let above = src.row(clamp(y as isize - 1));
@@ -30,6 +28,7 @@ pub fn median_blur3(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
         let below = src.row(clamp(y as isize + 1));
         median_row3(above, here, below, dst.row_mut(y), engine);
     }
+    Ok(())
 }
 
 /// Computes one output row of the 3×3 median from its three source rows.
@@ -249,7 +248,7 @@ mod tests {
     fn all_engines_match_scalar() {
         let src = synthetic_image(131, 47, 71);
         let mut reference = Image::new(131, 47);
-        median_blur3(&src, &mut reference, Engine::Scalar);
+        try_median_blur3(&src, &mut reference, Engine::Scalar).unwrap();
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -257,7 +256,7 @@ mod tests {
             Engine::Native,
         ] {
             let mut out = Image::new(131, 47);
-            median_blur3(&src, &mut out, engine);
+            try_median_blur3(&src, &mut out, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{engine:?}");
         }
     }
@@ -267,7 +266,7 @@ mod tests {
         let src = Image::from_fn(40, 20, |_, _| 88u8);
         for engine in Engine::ALL {
             let mut out = Image::new(40, 20);
-            median_blur3(&src, &mut out, engine);
+            try_median_blur3(&src, &mut out, engine).unwrap();
             assert!(out.all_pixels(|p| p == 88), "{engine:?}");
         }
     }
@@ -279,7 +278,7 @@ mod tests {
         src.set(10, 10, 255);
         src.set(20, 20, 0);
         let mut out = Image::new(32, 32);
-        median_blur3(&src, &mut out, Engine::Native);
+        try_median_blur3(&src, &mut out, Engine::Native).unwrap();
         assert!(out.all_pixels(|p| p == 100));
     }
 
@@ -288,7 +287,7 @@ mod tests {
         // Unlike the Gaussian, the median keeps a hard step exactly.
         let src = Image::from_fn(32, 32, |x, _| if x < 16 { 10u8 } else { 240 });
         let mut out = Image::new(32, 32);
-        median_blur3(&src, &mut out, Engine::Native);
+        try_median_blur3(&src, &mut out, Engine::Native).unwrap();
         assert!(out.pixels_eq(&src), "median moved a clean step edge");
     }
 
@@ -298,7 +297,7 @@ mod tests {
         let vals = [13u8, 200, 7, 99, 42, 180, 65, 3, 250];
         let src = Image::from_fn(3, 3, |x, y| vals[y * 3 + x]);
         let mut out = Image::new(3, 3);
-        median_blur3(&src, &mut out, Engine::Native);
+        try_median_blur3(&src, &mut out, Engine::Native).unwrap();
         let mut sorted = vals;
         sorted.sort_unstable();
         assert_eq!(out.get(1, 1), sorted[4]);
@@ -327,10 +326,10 @@ mod tests {
         for w in [1usize, 2, 17, 18, 19, 33, 50] {
             let src = synthetic_image(w, 5, 3);
             let mut reference = Image::new(w, 5);
-            median_blur3(&src, &mut reference, Engine::Scalar);
+            try_median_blur3(&src, &mut reference, Engine::Scalar).unwrap();
             for engine in [Engine::Sse2Sim, Engine::NeonSim, Engine::Native] {
                 let mut out = Image::new(w, 5);
-                median_blur3(&src, &mut out, engine);
+                try_median_blur3(&src, &mut out, engine).unwrap();
                 assert!(out.pixels_eq(&reference), "{engine:?} w={w}");
             }
         }

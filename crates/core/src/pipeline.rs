@@ -2,7 +2,7 @@
 //!
 //! The two-pass kernels materialise full-image intermediates: the Gaussian
 //! writes an `Image<u16>` the size of the input before the vertical pass
-//! reads it back, Sobel an `Image<i16>`, and `edge_detect` two of them. At
+//! reads it back, Sobel an `Image<i16>`, and `try_edge_detect` two of them. At
 //! the paper's 5 Mpx and 8 Mpx resolutions those intermediates are 10–32 MB
 //! — far beyond any L2 — so every pixel of the horizontal pass is evicted
 //! to DRAM and re-fetched by the vertical pass.
@@ -179,7 +179,7 @@ impl Drop for BandTelemetry {
 
 /// Fused Gaussian blur with an explicit kernel and a caller-owned arena.
 ///
-/// Bit-identical to [`crate::gaussian::gaussian_blur_kernel`] for every
+/// Bit-identical to [`crate::gaussian::try_gaussian_blur_kernel`] for every
 /// engine. Validates geometry and kernel normalisation, surfaces arena
 /// exhaustion from a capped [`Scratch`], and converts faultline-injected
 /// band panics into [`KernelError::FaultInjected`] (with the workspace
@@ -293,7 +293,7 @@ fn gaussian_band(
 // ---------------------------------------------------------------------------
 
 /// Fused Sobel gradient with a caller-owned arena. Bit-identical to
-/// [`crate::sobel::sobel`] (see [`try_fused_gaussian_blur_with`] for the
+/// [`crate::sobel::try_sobel`] (see [`try_fused_gaussian_blur_with`] for the
 /// error contract).
 pub fn try_fused_sobel_with(
     src: &Image<u8>,
@@ -380,7 +380,7 @@ fn sobel_band(
 
 /// Fused edge detection (Sobel X + Sobel Y → L1 magnitude → binary
 /// threshold) with a caller-owned arena. Bit-identical to
-/// [`crate::edge::edge_detect`] while never materialising the two
+/// [`crate::edge::try_edge_detect`] while never materialising the two
 /// gradient images (see [`try_fused_gaussian_blur_with`] for the error
 /// contract).
 pub fn try_fused_edge_detect_with(
@@ -639,10 +639,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::edge_detect;
-    use crate::gaussian::gaussian_blur;
+    use crate::edge::try_edge_detect;
+    use crate::gaussian::try_gaussian_blur_kernel;
     use crate::kernelgen::paper_gaussian_kernel;
-    use crate::sobel::sobel;
+    use crate::sobel::try_sobel;
     use pixelimage::synthetic_image;
 
     #[test]
@@ -683,7 +683,7 @@ mod tests {
         let kernel = paper_gaussian_kernel();
         for engine in Engine::ALL {
             let mut two_pass = Image::new(83, 37);
-            gaussian_blur(&src, &mut two_pass, engine);
+            try_gaussian_blur_kernel(&src, &mut two_pass, &kernel, engine).unwrap();
             let mut fused = Image::new(83, 37);
             try_fused_gaussian_blur_with(&src, &mut fused, &kernel, engine, &mut Scratch::new())
                 .unwrap();
@@ -697,7 +697,7 @@ mod tests {
         for dir in [SobelDirection::X, SobelDirection::Y] {
             for engine in Engine::ALL {
                 let mut two_pass = Image::new(85, 33);
-                sobel(&src, &mut two_pass, dir, engine);
+                try_sobel(&src, &mut two_pass, dir, engine).unwrap();
                 let mut fused = Image::new(85, 33);
                 try_fused_sobel_with(&src, &mut fused, dir, engine, &mut Scratch::new()).unwrap();
                 assert!(fused.pixels_eq(&two_pass), "{dir:?} {engine:?}");
@@ -710,7 +710,7 @@ mod tests {
         let src = synthetic_image(73, 41, 107);
         for engine in Engine::ALL {
             let mut two_pass = Image::new(73, 41);
-            edge_detect(&src, &mut two_pass, 96, engine);
+            try_edge_detect(&src, &mut two_pass, 96, engine).unwrap();
             let mut fused = Image::new(73, 41);
             try_fused_edge_detect_with(&src, &mut fused, 96, engine, &mut Scratch::new()).unwrap();
             assert!(fused.pixels_eq(&two_pass), "{engine:?}");
@@ -722,30 +722,23 @@ mod tests {
         // band_rows = 3 forces many bands and much halo recomputation;
         // results must not change.
         let src = synthetic_image(61, 47, 109);
-        let plan = BandPlan { band_rows: 3 };
+        let (plan, kernel) = (BandPlan { band_rows: 3 }, paper_gaussian_kernel());
 
         let mut expect_u8 = Image::new(61, 47);
-        gaussian_blur(&src, &mut expect_u8, Engine::Native);
+        try_gaussian_blur_kernel(&src, &mut expect_u8, &kernel, Engine::Native).unwrap();
         let mut got = Image::new(61, 47);
-        try_par_fused_gaussian_blur_with(
-            &src,
-            &mut got,
-            &paper_gaussian_kernel(),
-            Engine::Native,
-            &plan,
-        )
-        .unwrap();
+        try_par_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect_u8), "gaussian");
 
         for dir in [SobelDirection::X, SobelDirection::Y] {
             let mut expect_i16 = Image::new(61, 47);
-            sobel(&src, &mut expect_i16, dir, Engine::Native);
+            try_sobel(&src, &mut expect_i16, dir, Engine::Native).unwrap();
             let mut got = Image::new(61, 47);
             try_par_fused_sobel_with(&src, &mut got, dir, Engine::Native, &plan).unwrap();
             assert!(got.pixels_eq(&expect_i16), "sobel {dir:?}");
         }
 
-        edge_detect(&src, &mut expect_u8, 96, Engine::Native);
+        try_edge_detect(&src, &mut expect_u8, 96, Engine::Native).unwrap();
         try_par_fused_edge_detect_with(&src, &mut got, 96, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect_u8), "edge");
     }
@@ -787,7 +780,8 @@ mod tests {
         let src = synthetic_image(60, 40, 127);
         let kernel = crate::kernelgen::gaussian_kernel_q8(5.0, 33);
         let mut expect = Image::new(60, 40);
-        crate::gaussian::gaussian_blur_kernel(&src, &mut expect, &kernel, Engine::Native);
+        crate::gaussian::try_gaussian_blur_kernel(&src, &mut expect, &kernel, Engine::Native)
+            .unwrap();
         let mut scratch = Scratch::new();
         let mut got = Image::new(60, 40);
         try_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &mut scratch)

@@ -20,6 +20,7 @@
 //! bit-identical.
 
 use crate::dispatch::Engine;
+use crate::error::{validate_frame, KernelError, KernelResult};
 use pixelimage::Image;
 
 #[inline]
@@ -30,14 +31,32 @@ fn rhalf(a: u8, b: u8) -> u8 {
 /// Downsamples `src` by 2× in each axis into `dst`
 /// (`dst` must be `(src.width()/2, src.height()/2)`; odd trailing
 /// rows/columns of `src` are dropped, as in OpenCV's `pyrDown` fast path).
-pub fn downsample2x(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) {
-    assert_eq!(dst.width(), src.width() / 2, "dst width must be src/2");
-    assert_eq!(dst.height(), src.height() / 2, "dst height must be src/2");
+///
+/// A zero-size source or destination is [`KernelError::ZeroSize`] (so a
+/// 1-pixel-wide source, whose half is 0 wide, is rejected); a `dst` that
+/// is not half of `src` is a width or height mismatch carrying both
+/// frames' actual sizes.
+pub fn try_downsample2x(src: &Image<u8>, dst: &mut Image<u8>, engine: Engine) -> KernelResult {
+    validate_frame(src.width(), src.height(), src.stride())?;
+    validate_frame(dst.width(), dst.height(), dst.stride())?;
+    if dst.width() != src.width() / 2 {
+        return Err(KernelError::WidthMismatch {
+            src: src.width(),
+            dst: dst.width(),
+        });
+    }
+    if dst.height() != src.height() / 2 {
+        return Err(KernelError::HeightMismatch {
+            src: src.height(),
+            dst: dst.height(),
+        });
+    }
     for y in 0..dst.height() {
         let top = src.row(2 * y);
         let bottom = src.row(2 * y + 1);
         downsample_row(top, bottom, dst.row_mut(y), engine);
     }
+    Ok(())
 }
 
 /// Downsamples one output row from its two source rows.
@@ -160,7 +179,7 @@ mod tests {
         let src = Image::from_fn(64, 32, |_, _| 173u8);
         let mut dst = Image::new(32, 16);
         for engine in Engine::ALL {
-            downsample2x(&src, &mut dst, engine);
+            try_downsample2x(&src, &mut dst, engine).unwrap();
             assert!(dst.all_pixels(|p| p == 173), "{engine:?}");
         }
     }
@@ -169,7 +188,7 @@ mod tests {
     fn all_engines_match_scalar() {
         let src = synthetic_image(130, 66, 15);
         let mut reference = Image::new(65, 33);
-        downsample2x(&src, &mut reference, Engine::Scalar);
+        try_downsample2x(&src, &mut reference, Engine::Scalar).unwrap();
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -177,7 +196,7 @@ mod tests {
             Engine::Native,
         ] {
             let mut out = Image::new(65, 33);
-            downsample2x(&src, &mut out, engine);
+            try_downsample2x(&src, &mut out, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{engine:?}");
         }
     }
@@ -197,7 +216,7 @@ mod tests {
             let src = Image::from_fn(2, 2, |x, y| block[y * 2 + x]);
             let mut dst = Image::new(1, 1);
             for engine in Engine::ALL {
-                downsample2x(&src, &mut dst, engine);
+                try_downsample2x(&src, &mut dst, engine).unwrap();
                 assert_eq!(dst.get(0, 0), expect, "{block:?} {engine:?}");
             }
         }
@@ -207,7 +226,7 @@ mod tests {
     fn result_is_within_one_of_exact_average() {
         let src = synthetic_image(128, 64, 21);
         let mut dst = Image::new(64, 32);
-        downsample2x(&src, &mut dst, Engine::Native);
+        try_downsample2x(&src, &mut dst, Engine::Native).unwrap();
         for y in 0..32 {
             for x in 0..64 {
                 let exact = (src.get(2 * x, 2 * y) as u32
@@ -231,8 +250,8 @@ mod tests {
         let mut dst = Image::new(32, 16);
         for engine in Engine::ALL {
             let mut reference = Image::new(32, 16);
-            downsample2x(&src, &mut reference, Engine::Scalar);
-            downsample2x(&src, &mut dst, engine);
+            try_downsample2x(&src, &mut reference, Engine::Scalar).unwrap();
+            try_downsample2x(&src, &mut dst, engine).unwrap();
             assert!(dst.pixels_eq(&reference), "{engine:?}");
         }
     }
@@ -242,10 +261,10 @@ mod tests {
         for w_out in [1usize, 15, 16, 17, 31, 32, 33] {
             let src = synthetic_image(2 * w_out, 4, 9);
             let mut reference = Image::new(w_out, 2);
-            downsample2x(&src, &mut reference, Engine::Scalar);
+            try_downsample2x(&src, &mut reference, Engine::Scalar).unwrap();
             for engine in [Engine::Sse2Sim, Engine::NeonSim, Engine::Native] {
                 let mut out = Image::new(w_out, 2);
-                downsample2x(&src, &mut out, engine);
+                try_downsample2x(&src, &mut out, engine).unwrap();
                 assert!(out.pixels_eq(&reference), "{engine:?} w={w_out}");
             }
         }
@@ -259,7 +278,7 @@ mod tests {
         for _ in 0..3 {
             let (w, h) = (level.width() / 2, level.height() / 2);
             let mut next = Image::new(w, h);
-            downsample2x(&level, &mut next, Engine::Native);
+            try_downsample2x(&level, &mut next, Engine::Native).unwrap();
             level = next;
         }
         let mean3 = pixelimage::metrics::mean_u8(&level);

@@ -17,13 +17,7 @@ pub enum SobelDirection {
 }
 
 /// Computes the Sobel gradient of `src` into `dst` using `engine`.
-pub fn sobel(src: &Image<u8>, dst: &mut Image<i16>, dir: SobelDirection, engine: Engine) {
-    if let Err(e) = try_sobel(src, dst, dir, engine) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`sobel`]: validates geometry instead of asserting.
+/// Validates geometry.
 pub fn try_sobel(
     src: &Image<u8>,
     dst: &mut Image<i16>,
@@ -465,7 +459,7 @@ mod tests {
         for dir in [SobelDirection::X, SobelDirection::Y] {
             let expect = sobel_reference(&src, dir);
             let mut out = Image::new(47, 31);
-            sobel(&src, &mut out, dir, Engine::Scalar);
+            try_sobel(&src, &mut out, dir, Engine::Scalar).unwrap();
             assert!(out.pixels_eq(&expect), "direction {dir:?}");
         }
     }
@@ -475,7 +469,7 @@ mod tests {
         let src = synthetic_image(85, 33, 19);
         for dir in [SobelDirection::X, SobelDirection::Y] {
             let mut reference = Image::new(85, 33);
-            sobel(&src, &mut reference, dir, Engine::Scalar);
+            try_sobel(&src, &mut reference, dir, Engine::Scalar).unwrap();
             for engine in [
                 Engine::Autovec,
                 Engine::Sse2Sim,
@@ -483,7 +477,7 @@ mod tests {
                 Engine::Native,
             ] {
                 let mut out = Image::new(85, 33);
-                sobel(&src, &mut out, dir, engine);
+                try_sobel(&src, &mut out, dir, engine).unwrap();
                 assert!(out.pixels_eq(&reference), "{dir:?} {engine:?}");
             }
         }
@@ -494,7 +488,7 @@ mod tests {
         let src = Image::from_fn(32, 32, |_, _| 99u8);
         for dir in [SobelDirection::X, SobelDirection::Y] {
             let mut out = Image::new(32, 32);
-            sobel(&src, &mut out, dir, Engine::Native);
+            try_sobel(&src, &mut out, dir, Engine::Native).unwrap();
             assert!(out.all_pixels(|p| p == 0), "{dir:?}");
         }
     }
@@ -505,8 +499,8 @@ mod tests {
         let src = Image::from_fn(32, 32, |x, _| if x < 16 { 0u8 } else { 200 });
         let mut gx = Image::new(32, 32);
         let mut gy = Image::new(32, 32);
-        sobel(&src, &mut gx, SobelDirection::X, Engine::Native);
-        sobel(&src, &mut gy, SobelDirection::Y, Engine::Native);
+        try_sobel(&src, &mut gx, SobelDirection::X, Engine::Native).unwrap();
+        try_sobel(&src, &mut gy, SobelDirection::Y, Engine::Native).unwrap();
         assert!(gy.all_pixels(|p| p == 0));
         // Peak response at the step: [1,2,1]ᵀ smooth × [-1,0,1] over a
         // 0→200 step gives 200 * 4 = 800.
@@ -522,8 +516,8 @@ mod tests {
         let inv = src.map(|v| 255 - v);
         let mut g = Image::new(40, 24);
         let mut ginv = Image::new(40, 24);
-        sobel(&src, &mut g, SobelDirection::X, Engine::Native);
-        sobel(&inv, &mut ginv, SobelDirection::X, Engine::Native);
+        try_sobel(&src, &mut g, SobelDirection::X, Engine::Native).unwrap();
+        try_sobel(&inv, &mut ginv, SobelDirection::X, Engine::Native).unwrap();
         for y in 0..24 {
             for (a, b) in g.row(y).iter().zip(ginv.row(y).iter()) {
                 assert_eq!(*a, -*b);
@@ -537,10 +531,10 @@ mod tests {
             let src = Image::from_fn(w, h, |x, y| ((x * 89 + y * 55) % 251) as u8);
             for dir in [SobelDirection::X, SobelDirection::Y] {
                 let mut reference = Image::new(w, h);
-                sobel(&src, &mut reference, dir, Engine::Scalar);
+                try_sobel(&src, &mut reference, dir, Engine::Scalar).unwrap();
                 for engine in [Engine::Sse2Sim, Engine::NeonSim, Engine::Native] {
                     let mut out = Image::new(w, h);
-                    sobel(&src, &mut out, dir, engine);
+                    try_sobel(&src, &mut out, dir, engine).unwrap();
                     assert!(out.pixels_eq(&reference), "{w}x{h} {dir:?} {engine:?}");
                 }
             }

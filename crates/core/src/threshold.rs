@@ -75,22 +75,7 @@ impl ThresholdType {
     }
 }
 
-/// Thresholds a `u8` image with the chosen engine.
-pub fn threshold_u8(
-    src: &Image<u8>,
-    dst: &mut Image<u8>,
-    thresh: u8,
-    maxval: u8,
-    ty: ThresholdType,
-    engine: Engine,
-) {
-    if let Err(e) = try_threshold_u8(src, dst, thresh, maxval, ty, engine) {
-        e.panic_or_ignore();
-    }
-}
-
-/// Fallible form of [`threshold_u8`]: validates geometry instead of
-/// asserting.
+/// Thresholds a `u8` image with the chosen engine. Validates geometry.
 pub fn try_threshold_u8(
     src: &Image<u8>,
     dst: &mut Image<u8>,
@@ -352,7 +337,7 @@ mod tests {
         for ty in ThresholdType::ALL {
             for thresh in [0u8, 1, 127, 128, 254, 255] {
                 let mut reference = Image::new(img.width(), img.height());
-                threshold_u8(&img, &mut reference, thresh, 255, ty, Engine::Scalar);
+                try_threshold_u8(&img, &mut reference, thresh, 255, ty, Engine::Scalar).unwrap();
                 for engine in [
                     Engine::Autovec,
                     Engine::Sse2Sim,
@@ -360,7 +345,7 @@ mod tests {
                     Engine::Native,
                 ] {
                     let mut out = Image::new(img.width(), img.height());
-                    threshold_u8(&img, &mut out, thresh, 255, ty, engine);
+                    try_threshold_u8(&img, &mut out, thresh, 255, ty, engine).unwrap();
                     assert!(
                         out.pixels_eq(&reference),
                         "{ty:?} thresh {thresh} engine {engine:?}"
@@ -405,23 +390,25 @@ mod tests {
         // fixed point.
         let img = synthetic_image(64, 64, 3);
         let mut once = Image::new(64, 64);
-        threshold_u8(
+        try_threshold_u8(
             &img,
             &mut once,
             128,
             255,
             ThresholdType::Binary,
             Engine::Native,
-        );
+        )
+        .unwrap();
         let mut twice = Image::new(64, 64);
-        threshold_u8(
+        try_threshold_u8(
             &once,
             &mut twice,
             128,
             255,
             ThresholdType::Binary,
             Engine::Native,
-        );
+        )
+        .unwrap();
         assert!(once.pixels_eq(&twice));
     }
 
@@ -430,22 +417,24 @@ mod tests {
         let img = synthetic_image(64, 64, 4);
         let mut b = Image::new(64, 64);
         let mut binv = Image::new(64, 64);
-        threshold_u8(
+        try_threshold_u8(
             &img,
             &mut b,
             128,
             255,
             ThresholdType::Binary,
             Engine::Native,
-        );
-        threshold_u8(
+        )
+        .unwrap();
+        try_threshold_u8(
             &img,
             &mut binv,
             128,
             255,
             ThresholdType::BinaryInv,
             Engine::Native,
-        );
+        )
+        .unwrap();
         for y in 0..64 {
             for (pb, pi) in b.row(y).iter().zip(binv.row(y).iter()) {
                 assert_eq!(pb.wrapping_add(*pi), 255);

@@ -82,7 +82,8 @@ fn injected_faults_surface_cleanly_and_leak_nothing() {
     faultline::disarm("pipeline.band");
     // The identical call now succeeds, reusing the recovered workspace.
     let mut expect = Image::<u8>::new(96, 64);
-    simdbench_core::gaussian::gaussian_blur_kernel(&src, &mut expect, &kernel, Engine::Native);
+    simdbench_core::gaussian::try_gaussian_blur_kernel(&src, &mut expect, &kernel, Engine::Native)
+        .unwrap();
     assert_eq!(
         try_fused_gaussian_blur_with(&src, &mut dst, &kernel, Engine::Native, &mut scratch),
         Ok(())
@@ -120,7 +121,7 @@ fn injected_faults_surface_cleanly_and_leak_nothing() {
         );
         // Disarmed, the parallel pipeline recovers to bit-exactness.
         let mut expect = Image::<u8>::new(96, 64);
-        simdbench_core::edge::edge_detect(&src, &mut expect, 96, Engine::Native);
+        simdbench_core::edge::try_edge_detect(&src, &mut expect, 96, Engine::Native).unwrap();
         assert_eq!(
             try_par_fused_edge_detect_with(&src, &mut par_dst, 96, Engine::Native, &plan),
             Ok(())
@@ -128,14 +129,14 @@ fn injected_faults_surface_cleanly_and_leak_nothing() {
         assert!(par_dst.pixels_eq(&expect));
     });
 
-    // A genuine (non-injected) panic is NOT converted to an error: the
-    // try_* contract only absorbs faults it can attribute to faultline.
-    let err = std::panic::catch_unwind(|| {
-        let mut d = Image::<u8>::new(95, 64);
-        // Panicking shim, real validation failure.
-        simdbench_core::edge::edge_detect(&src, &mut d, 96, Engine::Native);
-    })
-    .expect_err("width mismatch through the shim must still panic");
+    // A real validation failure is reported as itself, never as an
+    // injected fault, and a genuine panic raised on it is not classified
+    // as injected: the try_* contract only absorbs faults it can
+    // attribute to faultline.
+    let mut d = Image::<u8>::new(95, 64);
+    let real = simdbench_core::edge::try_edge_detect(&src, &mut d, 96, Engine::Native);
+    assert_eq!(real, Err(KernelError::WidthMismatch { src: 96, dst: 95 }));
+    let err = std::panic::catch_unwind(|| real.unwrap()).expect_err("unwrap on Err must panic");
     assert!(!faultline::is_injected_panic(err.as_ref()));
 
     faultline::disarm_all();

@@ -21,60 +21,41 @@ use simdbench_core::threshold::ThresholdType;
 
 #[test]
 fn zero_size_frames_error_not_panic() {
+    use simdbench_core::{color, convert, edge, gaussian, median, resize, sobel, threshold};
     let engine = Engine::Native;
-    let z8 = Image::<u8>::new(0, 5);
-    let mut zd8 = Image::<u8>::new(0, 5);
-    let mut zi16 = Image::<i16>::new(0, 5);
-
-    let expect = Err(KernelError::ZeroSize {
-        width: 0,
-        height: 5,
-    });
-    assert_eq!(
-        simdbench_core::sobel::try_sobel(&z8, &mut zi16, SobelDirection::X, engine),
-        expect
-    );
-    assert_eq!(
-        simdbench_core::edge::try_edge_detect(&z8, &mut zd8, 96, engine),
-        expect
-    );
-    assert_eq!(
-        simdbench_core::threshold::try_threshold_u8(
-            &z8,
-            &mut zd8,
-            96,
-            255,
-            ThresholdType::Binary,
-            engine
-        ),
-        expect
-    );
-    assert_eq!(
-        simdbench_core::gaussian::try_gaussian_blur_kernel(
-            &z8,
-            &mut zd8,
-            &paper_gaussian_kernel(),
-            engine
-        ),
-        expect
-    );
-    let zf32 = Image::<f32>::new(0, 5);
-    assert_eq!(
-        simdbench_core::convert::try_convert_f32_to_i16(&zf32, &mut zi16, engine),
-        expect
-    );
-    // Height-zero as well as width-zero.
-    let h0 = Image::<u8>::new(7, 0);
-    let mut h0d = Image::<u8>::new(7, 0);
-    assert_eq!(
-        simdbench_core::edge::try_edge_detect(&h0, &mut h0d, 96, engine),
-        Err(KernelError::ZeroSize {
-            width: 7,
-            height: 0
-        })
-    );
-    // The panicking shims keep the historical no-op semantics.
-    simdbench_core::edge::edge_detect(&z8, &mut zd8, 96, engine);
+    for (w, h) in [(0, 5), (7, 0)] {
+        let expect = Err(KernelError::ZeroSize {
+            width: w,
+            height: h,
+        });
+        let (zf32, z8) = (Image::<f32>::new(w, h), Image::<u8>::new(w, h));
+        let (mut d8, mut d16) = (Image::<u8>::new(w, h), Image::<i16>::new(w, h));
+        let mut half = Image::<u8>::new(w / 2, h / 2);
+        let binary = ThresholdType::Binary;
+        let got = [
+            convert::try_convert_f32_to_i16(&zf32, &mut d16, engine),
+            threshold::try_threshold_u8(&z8, &mut d8, 96, 255, binary, engine),
+            gaussian::try_gaussian_blur_kernel(&z8, &mut d8, &paper_gaussian_kernel(), engine),
+            sobel::try_sobel(&z8, &mut d16, SobelDirection::X, engine),
+            edge::try_edge_detect(&z8, &mut d8, 96, engine),
+            color::try_bgr_to_gray(&z8, &z8, &z8, &mut d8, engine),
+            median::try_median_blur3(&z8, &mut d8, engine),
+            resize::try_downsample2x(&z8, &mut half, engine),
+        ];
+        let names = [
+            "convert",
+            "threshold",
+            "gaussian",
+            "sobel",
+            "edge",
+            "color",
+            "median",
+            "downsample",
+        ];
+        for (name, got) in names.into_iter().zip(got) {
+            assert_eq!(got, expect, "{name} on {w}x{h}");
+        }
+    }
 }
 
 #[test]
@@ -110,6 +91,18 @@ fn geometry_mismatches_map_to_their_variants() {
             expected: (16, 8),
             got: (16, 7)
         })
+    );
+
+    // Downsampling: a destination that is not half the source.
+    let mut not_half = Image::<u8>::new(7, 4);
+    assert_eq!(
+        simdbench_core::resize::try_downsample2x(&src, &mut not_half, engine),
+        Err(KernelError::WidthMismatch { src: 16, dst: 7 })
+    );
+    let mut not_half = Image::<u8>::new(8, 3);
+    assert_eq!(
+        simdbench_core::resize::try_downsample2x(&src, &mut not_half, engine),
+        Err(KernelError::HeightMismatch { src: 8, dst: 3 })
     );
 }
 
@@ -148,13 +141,13 @@ fn max_dimension_overflow_is_rejected_before_any_allocation() {
 }
 
 #[test]
-fn one_by_n_and_n_by_one_frames_succeed_and_match_the_shims() {
+fn one_by_n_and_n_by_one_frames_succeed_and_match_scalar() {
     // Degenerate-but-valid shapes must take the Ok path and produce the
-    // same pixels as the historical panicking entry points.
+    // same pixels as the scalar reference.
     for (w, h) in [(1, 64), (64, 1), (1, 1)] {
         let src = synthetic_image(w, h, (w * 31 + h) as u64);
         let mut expect = Image::<u8>::new(w, h);
-        simdbench_core::edge::edge_detect(&src, &mut expect, 96, Engine::Native);
+        simdbench_core::edge::try_edge_detect(&src, &mut expect, 96, Engine::Scalar).unwrap();
         let mut got = Image::<u8>::new(w, h);
         assert_eq!(
             simdbench_core::edge::try_edge_detect(&src, &mut got, 96, Engine::Native),

@@ -1,22 +1,21 @@
-//! Edge-geometry contract for the fused pipeline and the parallel
-//! wrappers: bit-for-bit equality with the sequential two-pass kernels on
+//! Edge-geometry contract for the serial and pool-parallel fused
+//! pipeline: bit-for-bit equality with the sequential two-pass kernels on
 //! every engine, for shapes chosen to break lane assumptions — widths that
 //! are not multiples of 8/16, widths below the kernel radius, single-row
 //! and single-pixel images, and band heights that leave ragged tails.
 
 use pixelimage::{synthetic_image, Image};
 use simdbench_core::dispatch::Engine;
-use simdbench_core::edge::edge_detect;
-use simdbench_core::gaussian::gaussian_blur;
+use simdbench_core::edge::try_edge_detect;
+use simdbench_core::gaussian::try_gaussian_blur_kernel;
 use simdbench_core::kernelgen::paper_gaussian_kernel;
-use simdbench_core::parallel::{par_edge_detect, par_gaussian_blur, par_sobel};
 use simdbench_core::pipeline::{
     try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
     try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
     BandPlan,
 };
 use simdbench_core::scratch::Scratch;
-use simdbench_core::sobel::{sobel, SobelDirection};
+use simdbench_core::sobel::{try_sobel, SobelDirection};
 
 /// Widths straddling the SSE/NEON 8- and 16-lane boundaries, plus widths
 /// below the 7-tap Gaussian radius (3) where every engine must take its
@@ -32,7 +31,7 @@ fn fused_gaussian_matches_sequential_on_awkward_shapes() {
             let src = synthetic_image(w, h, (w * 131 + h) as u64);
             for engine in Engine::ALL {
                 let mut expect = Image::new(w, h);
-                gaussian_blur(&src, &mut expect, engine);
+                try_gaussian_blur_kernel(&src, &mut expect, &kernel, engine).unwrap();
                 let mut got = Image::new(w, h);
                 try_fused_gaussian_blur_with(&src, &mut got, &kernel, engine, &mut scratch)
                     .unwrap();
@@ -50,7 +49,7 @@ fn fused_sobel_matches_sequential_on_awkward_shapes() {
             for dir in [SobelDirection::X, SobelDirection::Y] {
                 for engine in Engine::ALL {
                     let mut expect = Image::new(w, h);
-                    sobel(&src, &mut expect, dir, engine);
+                    try_sobel(&src, &mut expect, dir, engine).unwrap();
                     let mut got = Image::new(w, h);
                     try_fused_sobel_with(&src, &mut got, dir, engine, &mut Scratch::new()).unwrap();
                     assert!(
@@ -70,7 +69,7 @@ fn fused_edge_matches_sequential_on_awkward_shapes() {
             let src = synthetic_image(w, h, (w * 139 + h) as u64);
             for engine in Engine::ALL {
                 let mut expect = Image::new(w, h);
-                edge_detect(&src, &mut expect, 96, engine);
+                try_edge_detect(&src, &mut expect, 96, engine).unwrap();
                 let mut got = Image::new(w, h);
                 try_fused_edge_detect_with(&src, &mut got, 96, engine, &mut Scratch::new())
                     .unwrap();
@@ -81,16 +80,17 @@ fn fused_edge_matches_sequential_on_awkward_shapes() {
 }
 
 #[test]
-fn par_wrappers_match_sequential_on_awkward_shapes() {
-    // The public par_* wrappers now route through the fused band pipeline;
-    // they must keep their historical contract on every shape and engine.
+fn par_fused_with_width_plan_matches_sequential_on_awkward_shapes() {
+    // The pool path under the default cache-derived plan must match the
+    // two-pass kernels on every shape and engine.
     for &(w, h) in &[(1, 1), (7, 1), (9, 3), (17, 2), (33, 9), (63, 4), (129, 65)] {
         let src = synthetic_image(w, h, (w * 149 + h) as u64);
+        let (kernel, plan) = (paper_gaussian_kernel(), BandPlan::for_width(w));
         for engine in Engine::ALL {
             let mut expect_u8 = Image::new(w, h);
-            gaussian_blur(&src, &mut expect_u8, engine);
+            try_gaussian_blur_kernel(&src, &mut expect_u8, &kernel, engine).unwrap();
             let mut got_u8 = Image::new(w, h);
-            par_gaussian_blur(&src, &mut got_u8, engine);
+            try_par_fused_gaussian_blur_with(&src, &mut got_u8, &kernel, engine, &plan).unwrap();
             assert!(
                 got_u8.pixels_eq(&expect_u8),
                 "par gaussian {w}x{h} {engine:?}"
@@ -98,17 +98,17 @@ fn par_wrappers_match_sequential_on_awkward_shapes() {
 
             for dir in [SobelDirection::X, SobelDirection::Y] {
                 let mut expect_i16 = Image::new(w, h);
-                sobel(&src, &mut expect_i16, dir, engine);
+                try_sobel(&src, &mut expect_i16, dir, engine).unwrap();
                 let mut got_i16 = Image::new(w, h);
-                par_sobel(&src, &mut got_i16, dir, engine);
+                try_par_fused_sobel_with(&src, &mut got_i16, dir, engine, &plan).unwrap();
                 assert!(
                     got_i16.pixels_eq(&expect_i16),
                     "par sobel {w}x{h} {dir:?} {engine:?}"
                 );
             }
 
-            edge_detect(&src, &mut expect_u8, 96, engine);
-            par_edge_detect(&src, &mut got_u8, 96, engine);
+            try_edge_detect(&src, &mut expect_u8, 96, engine).unwrap();
+            try_par_fused_edge_detect_with(&src, &mut got_u8, 96, engine, &plan).unwrap();
             assert!(got_u8.pixels_eq(&expect_u8), "par edge {w}x{h} {engine:?}");
         }
     }
@@ -134,7 +134,7 @@ fn ragged_band_tails_are_bit_exact() {
             let plan = BandPlan { band_rows };
 
             let mut expect_u8 = Image::new(w, h);
-            gaussian_blur(&src, &mut expect_u8, Engine::Native);
+            try_gaussian_blur_kernel(&src, &mut expect_u8, &kernel, Engine::Native).unwrap();
             let mut got_u8 = Image::new(w, h);
             try_par_fused_gaussian_blur_with(&src, &mut got_u8, &kernel, Engine::Native, &plan)
                 .unwrap();
@@ -144,7 +144,7 @@ fn ragged_band_tails_are_bit_exact() {
             );
 
             let mut expect_i16 = Image::new(w, h);
-            sobel(&src, &mut expect_i16, SobelDirection::X, Engine::Native);
+            try_sobel(&src, &mut expect_i16, SobelDirection::X, Engine::Native).unwrap();
             let mut got_i16 = Image::new(w, h);
             try_par_fused_sobel_with(&src, &mut got_i16, SobelDirection::X, Engine::Native, &plan)
                 .unwrap();
@@ -153,7 +153,7 @@ fn ragged_band_tails_are_bit_exact() {
                 "sobel band_rows={band_rows}"
             );
 
-            edge_detect(&src, &mut expect_u8, 80, Engine::Native);
+            try_edge_detect(&src, &mut expect_u8, 80, Engine::Native).unwrap();
             try_par_fused_edge_detect_with(&src, &mut got_u8, 80, Engine::Native, &plan).unwrap();
             assert!(got_u8.pixels_eq(&expect_u8), "edge band_rows={band_rows}");
         }
@@ -172,13 +172,13 @@ fn paper_resolutions_are_bit_exact_for_fused_pipeline() {
         let (w, h) = res.dims();
         let src = synthetic_image(w, h, 7 + w as u64);
         let mut expect = Image::new(w, h);
-        edge_detect(&src, &mut expect, 96, Engine::Native);
+        try_edge_detect(&src, &mut expect, 96, Engine::Native).unwrap();
         let mut got = Image::new(w, h);
         let plan = BandPlan::for_width(w);
         try_par_fused_edge_detect_with(&src, &mut got, 96, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect), "{res:?} edge");
 
-        gaussian_blur(&src, &mut expect, Engine::Native);
+        try_gaussian_blur_kernel(&src, &mut expect, &kernel, Engine::Native).unwrap();
         try_par_fused_gaussian_blur_with(&src, &mut got, &kernel, Engine::Native, &plan).unwrap();
         assert!(got.pixels_eq(&expect), "{res:?} gaussian");
     }

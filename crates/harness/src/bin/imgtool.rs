@@ -15,16 +15,21 @@
 //! 24-bit colour inputs are converted to grayscale (BT.601) first; outputs
 //! are 8-bit palettised BMPs. Add `--engine scalar|autovec|sse2-sim|`
 //! `neon-sim|native` to pick a backend (default: native).
+//!
+//! A frame a kernel rejects (for example a 0-row image, or a 1-pixel-wide
+//! one given to `half`) prints `cannot process <in.bmp>: <error>` and exits
+//! 1 without writing the output.
 
 use pixelimage::bmp::{self, Decoded};
 use pixelimage::Image;
-use simdbench_core::color::bgr_to_gray;
-use simdbench_core::edge::edge_detect;
-use simdbench_core::gaussian::gaussian_blur_with;
-use simdbench_core::resize::downsample2x;
-use simdbench_core::sobel::{sobel, SobelDirection};
-use simdbench_core::threshold::{threshold_u8, ThresholdType};
-use simdbench_core::Engine;
+use simdbench_core::color::try_bgr_to_gray;
+use simdbench_core::edge::try_edge_detect;
+use simdbench_core::gaussian::try_gaussian_blur_kernel;
+use simdbench_core::kernelgen::gaussian_kernel_q8;
+use simdbench_core::resize::try_downsample2x;
+use simdbench_core::sobel::{try_sobel, SobelDirection};
+use simdbench_core::threshold::{try_threshold_u8, ThresholdType};
+use simdbench_core::{Engine, KernelResult};
 
 fn usage() -> ! {
     eprintln!(
@@ -105,13 +110,21 @@ fn load_gray(path: &str) -> Image<u8> {
         Ok(Decoded::Gray(img)) => img,
         Ok(Decoded::Bgr(b, g, r)) => {
             let mut gray = Image::new(b.width(), b.height());
-            bgr_to_gray(&b, &g, &r, &mut gray, Engine::Native);
+            check(path, try_bgr_to_gray(&b, &g, &r, &mut gray, Engine::Native));
             gray
         }
         Err(e) => {
             eprintln!("cannot decode {path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// Exits 1 with the kernel's error for `input`, before anything is written.
+fn check(input: &str, result: KernelResult) {
+    if let Err(e) = result {
+        eprintln!("cannot process {input}: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -152,36 +165,43 @@ fn main() {
     match command.as_str() {
         "blur" => {
             let mut dst = Image::new(w, h);
-            gaussian_blur_with(&src, &mut dst, opts.sigma, opts.ksize, opts.engine);
+            let kernel = gaussian_kernel_q8(opts.sigma, opts.ksize);
+            check(
+                input,
+                try_gaussian_blur_kernel(&src, &mut dst, &kernel, opts.engine),
+            );
             save_gray(output, &dst);
         }
         "edges" => {
             let mut dst = Image::new(w, h);
-            edge_detect(&src, &mut dst, opts.thresh, opts.engine);
+            check(
+                input,
+                try_edge_detect(&src, &mut dst, opts.thresh, opts.engine),
+            );
             save_gray(output, &dst);
         }
         "threshold" => {
             let mut dst = Image::new(w, h);
-            threshold_u8(
-                &src,
-                &mut dst,
-                opts.thresh,
-                255,
-                ThresholdType::Binary,
-                opts.engine,
+            let binary = ThresholdType::Binary;
+            check(
+                input,
+                try_threshold_u8(&src, &mut dst, opts.thresh, 255, binary, opts.engine),
             );
             save_gray(output, &dst);
         }
         "sobel" => {
             let mut grad = Image::<i16>::new(w, h);
-            sobel(&src, &mut grad, SobelDirection::X, opts.engine);
+            check(
+                input,
+                try_sobel(&src, &mut grad, SobelDirection::X, opts.engine),
+            );
             // Map signed gradient to displayable u8 around mid-gray.
             let vis = grad.map(|v| ((v as i32 / 8) + 128).clamp(0, 255) as u8);
             save_gray(output, &vis);
         }
         "half" => {
             let mut dst = Image::new(w / 2, h / 2);
-            downsample2x(&src, &mut dst, opts.engine);
+            check(input, try_downsample2x(&src, &mut dst, opts.engine));
             save_gray(output, &dst);
         }
         "gray" => {

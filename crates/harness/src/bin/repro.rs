@@ -452,9 +452,11 @@ fn chaos_mode(args: &[String]) {
     // Disarmed references for the bit-exactness checks, plus the healthy
     // worker complement.
     let mut gauss_ref = Image::<u8>::new(w, h);
-    simdbench_core::gaussian::gaussian_blur_kernel(&src, &mut gauss_ref, &kernel, engine);
+    simdbench_core::gaussian::try_gaussian_blur_kernel(&src, &mut gauss_ref, &kernel, engine)
+        .expect("disarmed Gaussian reference");
     let mut edge_ref = Image::<u8>::new(w, h);
-    simdbench_core::edge::edge_detect(&src, &mut edge_ref, 96, engine);
+    simdbench_core::edge::try_edge_detect(&src, &mut edge_ref, 96, engine)
+        .expect("disarmed edge reference");
     let mut par_dst = Image::<u8>::new(w, h);
     pool.install(|| {
         try_par_fused_edge_detect_with(&src, &mut par_dst, 96, engine, &plan)
@@ -1049,20 +1051,20 @@ fn fused_mode(args: &[String]) {
 
 /// Parallel mode: the band-parallel fused pipeline on the persistent
 /// work-stealing pool vs the sequential fused kernels, under the paper's
-/// timing protocol. The pool is installed at width 4 so the real
-/// scheduler runs even on single-core hosts, where dispatch overhead
-/// dominates exactly as on the paper's low-powered platforms.
+/// timing protocol. It runs on the global pool at the host's width (the
+/// pool perfbench measures), so both tools answer the same question.
 fn parallel_mode(args: &[String]) {
     use repro_harness::timing::{measure_fused, measure_parallel};
 
     let t = Timing::parse("parallel", args, &["--csv", "--json"]);
     const STENCILS: [Kernel; 3] = [Kernel::Gaussian, Kernel::Sobel, Kernel::Edge];
-    const WIDTH: usize = 4;
 
     println!("Parallel mode: persistent pool vs sequential fused (native engine)");
     println!(
-        "pool width {WIDTH}; protocol: {} images x {} cycles per point\n",
-        t.config.images, t.config.cycles
+        "pool width {}; protocol: {} images x {} cycles per point\n",
+        rayon::current_num_threads(),
+        t.config.images,
+        t.config.cycles
     );
     println!(
         "{:<14} {:>11} {:>12} {:>12} {:>9}",
@@ -1070,10 +1072,6 @@ fn parallel_mode(args: &[String]) {
     );
     let mut csv = String::from("kernel,image,seq_seconds,pool_seconds,pool_gain\n");
     let engine = host_hand_engine();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(WIDTH)
-        .build()
-        .expect("pool build");
     for &res in t.resolutions {
         let work = WorkSet::new(res, t.config.images);
         for kernel in STENCILS {
@@ -1082,7 +1080,7 @@ fn parallel_mode(args: &[String]) {
             // runs its single band on this thread, so its counters and
             // span trees must not bleed into the pool arm's telemetry.
             obs::reset();
-            let pooled = pool.install(|| measure_parallel(kernel, engine, &work, &t.config));
+            let pooled = measure_parallel(kernel, engine, &work, &t.config);
             let label = kernel.table3_label();
             report_row(&mut csv, label, res, seq.seconds, pooled.seconds);
         }
@@ -1127,13 +1125,13 @@ fn extensions_mode(args: &[String]) {
         compare_arms(&mut csv, "color", &work, cfg, engines, |i, engine| {
             // Three consecutive suite images stand in for the B, G, R planes.
             let [b, g, r] = [i, i + 1, i + 2].map(|j| &work.gray[j % n]);
-            color::bgr_to_gray(b, g, r, &mut dst, engine);
+            color::try_bgr_to_gray(b, g, r, &mut dst, engine).expect("suite planes agree");
         });
         compare_arms(&mut csv, "downsample", &work, cfg, engines, |i, engine| {
-            resize::downsample2x(&work.gray[i], &mut half, engine);
+            resize::try_downsample2x(&work.gray[i], &mut half, engine).expect("dst is src/2");
         });
         compare_arms(&mut csv, "median", &work, cfg, engines, |i, engine| {
-            median::median_blur3(&work.gray[i], &mut dst, engine);
+            median::try_median_blur3(&work.gray[i], &mut dst, engine).expect("same-shape frames");
         });
         if !avx2 {
             continue;

@@ -140,30 +140,21 @@ pub fn measure(
     let mut dst_u8 = Image::<u8>::new(w, h);
     let mut dst_i16 = Image::<i16>::new(w, h);
 
+    let gk = paper_gaussian_kernel();
+
     let _span = obs::span(kernel.table3_label());
-    let run_once = |img_idx: usize| match kernel {
-        Kernel::Convert => {
-            convert_f32_to_i16(&work.float[img_idx], &mut dst_i16, engine);
+    let run_once = |img_idx: usize| {
+        let src = &work.gray[img_idx];
+        match kernel {
+            Kernel::Convert => try_convert_f32_to_i16(&work.float[img_idx], &mut dst_i16, engine),
+            Kernel::Threshold => {
+                try_threshold_u8(src, &mut dst_u8, 128, 255, ThresholdType::Binary, engine)
+            }
+            Kernel::Gaussian => try_gaussian_blur_kernel(src, &mut dst_u8, &gk, engine),
+            Kernel::Sobel => try_sobel(src, &mut dst_i16, SobelDirection::X, engine),
+            Kernel::Edge => try_edge_detect(src, &mut dst_u8, 96, engine),
         }
-        Kernel::Threshold => {
-            threshold_u8(
-                &work.gray[img_idx],
-                &mut dst_u8,
-                128,
-                255,
-                ThresholdType::Binary,
-                engine,
-            );
-        }
-        Kernel::Gaussian => {
-            gaussian_blur(&work.gray[img_idx], &mut dst_u8, engine);
-        }
-        Kernel::Sobel => {
-            sobel(&work.gray[img_idx], &mut dst_i16, SobelDirection::X, engine);
-        }
-        Kernel::Edge => {
-            edge_detect(&work.gray[img_idx], &mut dst_u8, 96, engine);
-        }
+        .expect("two-pass pass over a valid work-set frame");
     };
 
     let (mean, samples) = run_protocol(work, config, run_once);
@@ -190,7 +181,6 @@ pub fn measure_fused(
     work: &WorkSet,
     config: &HostConfig,
 ) -> HostMeasurement {
-    use simdbench_core::kernelgen::paper_gaussian_kernel;
     use simdbench_core::pipeline::{
         try_fused_edge_detect_with, try_fused_gaussian_blur_with, try_fused_sobel_with,
     };
@@ -244,7 +234,6 @@ pub fn measure_parallel(
     work: &WorkSet,
     config: &HostConfig,
 ) -> HostMeasurement {
-    use simdbench_core::kernelgen::paper_gaussian_kernel;
     use simdbench_core::pipeline::{
         try_par_fused_edge_detect_with, try_par_fused_gaussian_blur_with, try_par_fused_sobel_with,
         BandPlan,

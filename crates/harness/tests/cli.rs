@@ -438,5 +438,36 @@ fn imgtool_rejects_bad_engine_and_missing_file() {
         assert!(err.contains("usage: imgtool"), "{flag} {value}: {err}");
         assert!(!output.exists(), "{flag} {value} wrote output");
     }
+
+    // A frame a kernel rejects exits 1 with the kernel's error and writes
+    // nothing: a 0-row image on every same-shape command, and a
+    // 1-pixel-wide one on `half`, whose output would be 0 wide.
+    let gray_bmp = |name: &str, w: usize, h: usize| {
+        let path = dir.join(name);
+        let bytes = pixelimage::bmp::encode_gray(&pixelimage::Image::new(w, h));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    };
+    let (no_rows, one_wide) = (
+        gray_bmp("no-rows.bmp", 4, 0),
+        gray_bmp("one-wide.bmp", 1, 6),
+    );
+    for (command, input) in [
+        ("blur", &no_rows),
+        ("edges", &no_rows),
+        ("threshold", &no_rows),
+        ("sobel", &no_rows),
+        ("half", &one_wide),
+    ] {
+        let out = imgtool()
+            .args([command, input.to_str().unwrap(), output.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+        let want = format!("cannot process {}: zero-size frame", input.display());
+        assert!(err.contains(&want), "{command}: {err}");
+        assert!(!output.exists(), "{command} wrote output");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

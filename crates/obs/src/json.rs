@@ -2,8 +2,8 @@
 //!
 //! The workspace has no serialization dependency, so machine-readable
 //! output is hand-assembled here: a small string-escaping writer plus
-//! one function shaping a [`Snapshot`](crate::Snapshot) into the
-//! documented schema. The schema is part of the telemetry contract
+//! one function shaping a [`Snapshot`] into the documented schema. The
+//! schema is part of the telemetry contract
 //! (DESIGN.md §9):
 //!
 //! ```json

@@ -9,7 +9,7 @@
 //! # Cost model
 //!
 //! Telemetry is **off by default**. Every recording entry point
-//! ([`add`], [`gauge_max`], [`record`], [`record_steal`], [`span`])
+//! ([`add`], [`gauge_max`], [`record`], [`record_steal`], [`span()`])
 //! starts with the same guard: one relaxed atomic load of the global
 //! enable flag and one predictable branch — the `op-trace` crate's
 //! proven disabled-cost pattern, lifted from a thread-local to a
@@ -495,7 +495,7 @@ mod tests {
     use super::*;
 
     /// Telemetry state is process-global, so the unit tests that flip it
-    /// serialize on this lock (mirrors the USE_OPTIMIZED discipline).
+    /// serialize on this lock: no test observes another's half-done flip.
     pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     pub(crate) fn guard() -> std::sync::MutexGuard<'static, ()> {

@@ -190,41 +190,43 @@ fn measure_hand(kernel: Kernel, isa: Isa) -> PixelMix {
     };
     let src = pixelimage::synthetic_image(TRACE_W, TRACE_H, 0xD0);
     let pixels = (TRACE_W * TRACE_H) as u64;
-    let (_, traced) = op_trace::trace(|| match kernel {
+    let (result, traced) = op_trace::trace(|| match kernel {
         Kernel::Convert => {
             let srcf = pixelimage::convert::u8_to_f32(&src, 100.0, -10000.0);
             let mut dst = Image::<i16>::new(TRACE_W, TRACE_H);
-            simdbench_core::convert::convert_f32_to_i16(&srcf, &mut dst, engine);
+            simdbench_core::convert::try_convert_f32_to_i16(&srcf, &mut dst, engine)
         }
         Kernel::Threshold => {
             let mut dst = Image::<u8>::new(TRACE_W, TRACE_H);
-            simdbench_core::threshold::threshold_u8(
+            simdbench_core::threshold::try_threshold_u8(
                 &src,
                 &mut dst,
                 128,
                 255,
                 simdbench_core::ThresholdType::Binary,
                 engine,
-            );
+            )
         }
         Kernel::Gaussian => {
             let mut dst = Image::<u8>::new(TRACE_W, TRACE_H);
-            simdbench_core::gaussian::gaussian_blur(&src, &mut dst, engine);
+            let taps = simdbench_core::kernelgen::paper_gaussian_kernel();
+            simdbench_core::gaussian::try_gaussian_blur_kernel(&src, &mut dst, &taps, engine)
         }
         Kernel::Sobel => {
             let mut dst = Image::<i16>::new(TRACE_W, TRACE_H);
-            simdbench_core::sobel::sobel(
+            simdbench_core::sobel::try_sobel(
                 &src,
                 &mut dst,
                 simdbench_core::sobel::SobelDirection::X,
                 engine,
-            );
+            )
         }
         Kernel::Edge => {
             let mut dst = Image::<u8>::new(TRACE_W, TRACE_H);
-            simdbench_core::edge::edge_detect(&src, &mut dst, 96, engine);
+            simdbench_core::edge::try_edge_detect(&src, &mut dst, 96, engine)
         }
     });
+    result.expect("the trace strip is a valid non-empty frame");
     let mut mix = PixelMix::from_opmix(&traced, pixels);
     // Loop-control overhead per vector iteration (one iteration covers 8
     // pixels for the widening kernels; approximate uniformly).

@@ -59,7 +59,7 @@
 //! * **Worker respawn.** Leaf panics are caught and carried to the latch,
 //!   but a panic that escapes the leaf guard (injected via the
 //!   `pool.worker` failpoint, or a defect in the scheduler itself) kills
-//!   the worker thread. A drop guard in [`Pool::worker_entry`] notices the
+//!   the worker thread. A drop guard in `Pool::worker_entry` notices the
 //!   unwind and respawns the same slot, so the pool returns to its full
 //!   complement (`pool.respawns` counter, [`pool_live_workers`]).
 //! * **Job watchdog.** With [`set_job_watchdog`] armed, a submitter that

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Write the detected edges of the first image.
     let (w, h) = res.dims();
     let mut edges = Image::new(w, h);
-    edge_detect(&work.gray[0], &mut edges, 96, Engine::Native);
+    try_edge_detect(&work.gray[0], &mut edges, 96, Engine::Native)?;
     let out = std::env::temp_dir().join("simd-repro");
     std::fs::create_dir_all(&out)?;
     let path = out.join(format!("edges_{}.bmp", res.label()));

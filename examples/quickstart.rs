@@ -18,8 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Benchmark 3: Gaussian blur (sigma = 1) -------------------------
+    let kernel = paper_gaussian_kernel();
     let mut blurred = Image::new(640, 480);
-    gaussian_blur(&photo, &mut blurred, Engine::Native);
+    try_gaussian_blur_kernel(&photo, &mut blurred, &kernel, Engine::Native)?;
     println!(
         "gaussian blur: PSNR vs input {:.1} dB (smoothing removed detail)",
         metrics::psnr_u8(&photo, &blurred)
@@ -27,14 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Benchmark 2: binary threshold ----------------------------------
     let mut mask = Image::new(640, 480);
-    threshold_u8(
+    try_threshold_u8(
         &photo,
         &mut mask,
         128,
         255,
         ThresholdType::Binary,
         Engine::Native,
-    );
+    )?;
     let above = mask.iter_pixels().filter(|&p| p == 255).count();
     println!(
         "threshold @128: {:.1}% of pixels above",
@@ -43,20 +44,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Benchmark 4: Sobel gradient -------------------------------------
     let mut gx = Image::new(640, 480);
-    sobel(&photo, &mut gx, SobelDirection::X, Engine::Native);
+    try_sobel(&photo, &mut gx, SobelDirection::X, Engine::Native)?;
     let max_grad = gx.iter_pixels().map(|v| v.unsigned_abs()).max().unwrap();
     println!("sobel d/dx: max |gradient| = {max_grad}");
 
     // --- Benchmark 5: edge detection --------------------------------------
     let mut edges = Image::new(640, 480);
-    edge_detect(&photo, &mut edges, 96, Engine::Native);
+    try_edge_detect(&photo, &mut edges, 96, Engine::Native)?;
     let edge_px = edges.iter_pixels().filter(|&p| p == 255).count();
     println!("edge detection @96: {edge_px} edge pixels");
 
     // --- Benchmark 1: float -> short conversion ---------------------------
     let float = simd_repro::image::convert::u8_to_f32(&photo, 100.0, -12800.0);
     let mut shorts = Image::new(640, 480);
-    convert_f32_to_i16(&float, &mut shorts, Engine::Native);
+    try_convert_f32_to_i16(&float, &mut shorts, Engine::Native)?;
     println!("convert f32->i16: pixel(0,0) = {}", shorts.get(0, 0));
 
     // --- All backends agree bit-for-bit ----------------------------------
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Engine::NeonSim,
     ] {
         let mut check = Image::new(640, 480);
-        gaussian_blur(&photo, &mut check, engine);
+        try_gaussian_blur_kernel(&photo, &mut check, &kernel, engine)?;
         assert!(check.pixels_eq(&blurred), "{engine:?} diverged");
     }
     println!("\nall five backends produce identical output ✓");

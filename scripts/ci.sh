@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build pool-stress chaos-stress repeat stream-smoke telemetry test workspace-test perfbench clippy fmt)
+STAGES=(build pool-stress chaos-stress repeat stream-smoke telemetry test workspace-test perfbench clippy fmt doc)
 if [[ "${CI_PERF:-0}" == "1" ]]; then
   STAGES+=(perf)
 fi
@@ -39,10 +39,10 @@ stage_chaos_stress() {
 }
 
 stage_repeat() {
-  # These suites share process-global state (the optimisation flag, the
+  # The chaos and stream-fault suites share process-global state (the
   # pool's worker census, armed failpoints) across threads, so a race in
-  # them can pass a single run. Run each 20 times; stop at the first
-  # failure and show its output.
+  # them can pass a single run; the cheap dispatch suite rides along. Run
+  # each 20 times; stop at the first failure and show its output.
   local suite run out
   for suite in \
     "-p simdbench-core --lib dispatch" \
@@ -88,6 +88,12 @@ stage_clippy() {
 
 stage_fmt() {
   cargo fmt --check
+}
+
+stage_doc() {
+  # Broken or private intra-doc links (for example to a deleted function)
+  # fail the build instead of rotting silently.
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 stage_perf() {

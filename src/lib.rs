@@ -26,14 +26,18 @@
 //! // A synthetic 0.3 Mpx "photograph".
 //! let photo = simd_repro::image::synthetic_image(640, 480, 42);
 //!
-//! // Blur it with the hand-tuned intrinsics on this host's SIMD unit.
+//! // Blur it (the paper's σ = 1, 7-tap kernel) with the hand-tuned
+//! // intrinsics on this host's SIMD unit. Every kernel entry point is
+//! // fallible: malformed geometry, a zero-size frame included, is an `Err`.
+//! let kernel = paper_gaussian_kernel();
 //! let mut blurred = Image::new(640, 480);
-//! gaussian_blur(&photo, &mut blurred, Engine::Native);
+//! try_gaussian_blur_kernel(&photo, &mut blurred, &kernel, Engine::Native)?;
 //!
 //! // Every backend produces bit-identical output.
 //! let mut reference = Image::new(640, 480);
-//! gaussian_blur(&photo, &mut reference, Engine::Scalar);
+//! try_gaussian_blur_kernel(&photo, &mut reference, &kernel, Engine::Scalar)?;
 //! assert!(blurred.pixels_eq(&reference));
+//! # Ok::<(), KernelError>(())
 //! ```
 
 pub use neon_sim as neon;

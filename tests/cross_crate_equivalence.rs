@@ -4,7 +4,6 @@
 //! computation* two ways).
 
 use simd_repro::image::{bmp, synthetic_image, synthetic_image_f32};
-use simd_repro::kernels::parallel::*;
 use simd_repro::kernels::prelude::*;
 
 const SHAPES: &[(usize, usize)] = &[(1, 1), (7, 3), (16, 16), (33, 9), (640, 48), (129, 65)];
@@ -18,7 +17,7 @@ fn convert_equivalence_over_shapes() {
     for &(w, h) in SHAPES {
         let src = synthetic_image_f32(w, h, 0xC0FFEE).map(|v| (v - 128.0) * 300.0);
         let mut reference = Image::new(w, h);
-        convert_f32_to_i16(&src, &mut reference, Engine::Scalar);
+        try_convert_f32_to_i16(&src, &mut reference, Engine::Scalar).unwrap();
         for engine in [
             Engine::Autovec,
             Engine::Sse2Sim,
@@ -26,7 +25,7 @@ fn convert_equivalence_over_shapes() {
             Engine::Native,
         ] {
             let mut out = Image::new(w, h);
-            convert_f32_to_i16(&src, &mut out, engine);
+            try_convert_f32_to_i16(&src, &mut out, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{w}x{h} {engine:?}");
         }
     }
@@ -38,10 +37,10 @@ fn threshold_equivalence_over_shapes_and_types() {
         let src = synthetic_image(w, h, 99);
         for ty in ThresholdType::ALL {
             let mut reference = Image::new(w, h);
-            threshold_u8(&src, &mut reference, 101, 200, ty, Engine::Scalar);
+            try_threshold_u8(&src, &mut reference, 101, 200, ty, Engine::Scalar).unwrap();
             for engine in hand_engines() {
                 let mut out = Image::new(w, h);
-                threshold_u8(&src, &mut out, 101, 200, ty, engine);
+                try_threshold_u8(&src, &mut out, 101, 200, ty, engine).unwrap();
                 assert!(out.pixels_eq(&reference), "{w}x{h} {ty:?} {engine:?}");
             }
         }
@@ -50,13 +49,14 @@ fn threshold_equivalence_over_shapes_and_types() {
 
 #[test]
 fn gaussian_equivalence_over_shapes() {
+    let kernel = paper_gaussian_kernel();
     for &(w, h) in SHAPES {
         let src = synthetic_image(w, h, 3);
         let mut reference = Image::new(w, h);
-        gaussian_blur(&src, &mut reference, Engine::Scalar);
+        try_gaussian_blur_kernel(&src, &mut reference, &kernel, Engine::Scalar).unwrap();
         for engine in hand_engines() {
             let mut out = Image::new(w, h);
-            gaussian_blur(&src, &mut out, engine);
+            try_gaussian_blur_kernel(&src, &mut out, &kernel, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{w}x{h} {engine:?}");
         }
     }
@@ -68,18 +68,18 @@ fn sobel_and_edge_equivalence_over_shapes() {
         let src = synthetic_image(w, h, 5);
         for dir in [SobelDirection::X, SobelDirection::Y] {
             let mut reference = Image::new(w, h);
-            sobel(&src, &mut reference, dir, Engine::Scalar);
+            try_sobel(&src, &mut reference, dir, Engine::Scalar).unwrap();
             for engine in hand_engines() {
                 let mut out = Image::new(w, h);
-                sobel(&src, &mut out, dir, engine);
+                try_sobel(&src, &mut out, dir, engine).unwrap();
                 assert!(out.pixels_eq(&reference), "{w}x{h} {dir:?} {engine:?}");
             }
         }
         let mut reference = Image::new(w, h);
-        edge_detect(&src, &mut reference, 80, Engine::Scalar);
+        try_edge_detect(&src, &mut reference, 80, Engine::Scalar).unwrap();
         for engine in hand_engines() {
             let mut out = Image::new(w, h);
-            edge_detect(&src, &mut out, 80, engine);
+            try_edge_detect(&src, &mut out, 80, engine).unwrap();
             assert!(out.pixels_eq(&reference), "edge {w}x{h} {engine:?}");
         }
     }
@@ -89,34 +89,24 @@ fn sobel_and_edge_equivalence_over_shapes() {
 fn parallel_wrappers_match_sequential_at_odd_shapes() {
     let (w, h) = (127, 43);
     let gray = synthetic_image(w, h, 11);
-    let float = synthetic_image_f32(w, h, 11).map(|v| v * 120.0 - 9000.0);
-
-    let mut seq_i16 = Image::new(w, h);
-    let mut par_i16 = Image::new(w, h);
-    convert_f32_to_i16(&float, &mut seq_i16, Engine::Native);
-    par_convert_f32_to_i16(&float, &mut par_i16, Engine::Native);
-    assert!(par_i16.pixels_eq(&seq_i16));
+    let (kernel, plan) = (paper_gaussian_kernel(), BandPlan::for_width(w));
 
     let mut seq_u8 = Image::new(w, h);
     let mut par_u8 = Image::new(w, h);
-    gaussian_blur(&gray, &mut seq_u8, Engine::Native);
-    par_gaussian_blur(&gray, &mut par_u8, Engine::Native);
+    try_gaussian_blur_kernel(&gray, &mut seq_u8, &kernel, Engine::Native).unwrap();
+    try_par_fused_gaussian_blur_with(&gray, &mut par_u8, &kernel, Engine::Native, &plan).unwrap();
     assert!(par_u8.pixels_eq(&seq_u8));
 
-    edge_detect(&gray, &mut seq_u8, 90, Engine::Native);
-    par_edge_detect(&gray, &mut par_u8, 90, Engine::Native);
+    try_edge_detect(&gray, &mut seq_u8, 90, Engine::Native).unwrap();
+    try_par_fused_edge_detect_with(&gray, &mut par_u8, 90, Engine::Native, &plan).unwrap();
     assert!(par_u8.pixels_eq(&seq_u8));
 }
 
 #[test]
-fn set_use_optimized_switches_like_opencv() {
-    use simd_repro::kernels::dispatch::{default_engine, with_use_optimized};
-    with_use_optimized(false, || {
-        assert_eq!(default_engine(), Engine::Scalar);
-    });
-    with_use_optimized(true, || {
-        assert!(default_engine().is_hand() || default_engine() == Engine::Autovec);
-    });
+fn for_use_optimized_switches_like_opencv() {
+    assert_eq!(Engine::for_use_optimized(false), Engine::Scalar);
+    let on = Engine::for_use_optimized(true);
+    assert!(on.is_hand() || on == Engine::Autovec);
 }
 
 #[test]
@@ -132,7 +122,7 @@ fn full_pipeline_through_bmp_roundtrip() {
     assert!(decoded.pixels_eq(&photo));
 
     let mut edges = Image::new(160, 120);
-    edge_detect(&decoded, &mut edges, 96, Engine::Native);
+    try_edge_detect(&decoded, &mut edges, 96, Engine::Native).unwrap();
     let edge_bmp = bmp::encode_gray(&edges);
     match bmp::decode(&edge_bmp).unwrap() {
         bmp::Decoded::Gray(round) => assert!(round.pixels_eq(&edges)),
@@ -150,10 +140,10 @@ fn simulated_and_native_engines_agree_on_saturation_torture() {
     let w = torture.len();
     let src = Image::from_fn(w, 1, |x, _| torture[x]);
     let mut expected = Image::new(w, 1);
-    convert_f32_to_i16(&src, &mut expected, Engine::Scalar);
+    try_convert_f32_to_i16(&src, &mut expected, Engine::Scalar).unwrap();
     for engine in hand_engines() {
         let mut out = Image::new(w, 1);
-        convert_f32_to_i16(&src, &mut out, engine);
+        try_convert_f32_to_i16(&src, &mut out, engine).unwrap();
         assert!(out.pixels_eq(&expected), "{engine:?}");
     }
 }
