@@ -1,17 +1,31 @@
 //! Telemetry cost smoke test: with the global enable flag off, every
-//! `obs` entry point in the fused pipeline must reduce to one relaxed
-//! atomic load and a branch. This test guards against regressions that
-//! make the disabled path allocate, lock, or time.
+//! `obs` entry point in the fused pipeline and the stream engine must
+//! reduce to one relaxed atomic load and a branch. These tests guard
+//! against regressions that make the disabled path allocate, lock, or
+//! time.
 //!
 //! It is a *smoke* test, not a benchmark: CI machines are noisy, so the
 //! threshold is deliberately generous (2x). The honest measurement
 //! lives in EXPERIMENTS.md and uses the full paper protocol.
 
+use obs::HistId;
 use pixelimage::{synthetic_suite, Image, Resolution};
 use simdbench_core::kernelgen::paper_gaussian_kernel;
 use simdbench_core::prelude::*;
 use simdbench_core::scratch::Scratch;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+
+/// Held by each test for its whole run: the tests flip the
+/// process-global enable flag and read process-global histograms.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+/// The stream histograms, each recorded once per completed frame.
+const STREAM_HISTS: [HistId; 3] = [
+    HistId::StreamFrameNanos,
+    HistId::StreamQueueWaitNanos,
+    HistId::StreamServiceNanos,
+];
 
 fn time_passes(src: &Image<u8>, passes: usize) -> f64 {
     let mut dst = Image::<u8>::new(src.width(), src.height());
@@ -30,6 +44,7 @@ fn time_passes(src: &Image<u8>, passes: usize) -> f64 {
 
 #[test]
 fn disabled_telemetry_is_cheap_on_the_fused_pipeline() {
+    let _flag = TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner);
     let src = synthetic_suite(Resolution::Vga, 1).remove(0);
     const PASSES: usize = 30;
 
@@ -59,4 +74,77 @@ fn disabled_telemetry_is_cheap_on_the_fused_pipeline() {
         off < on * 3.0 + 1e-3,
         "disabled {off:.6}s vs enabled {on:.6}s — disabled path is doing work"
     );
+}
+
+/// Streams `frames` closed-loop frames of `src` through a fresh engine and
+/// returns the wall seconds from the first submit to the last outcome.
+fn time_stream(src: &Arc<Image<u8>>, frames: u64) -> f64 {
+    let mut cfg = StreamConfig::new(src.width(), src.height());
+    cfg.engine = Engine::Native;
+    let engine = StreamEngine::new(cfg).unwrap();
+    let start = Instant::now();
+    for id in 0..frames {
+        while let Err(StreamError::Saturated { .. }) = engine.submit(id, Arc::clone(src)) {
+            engine.wait_idle();
+        }
+    }
+    let outcomes = engine.finish();
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(outcomes.len() as u64, frames);
+    assert!(outcomes
+        .iter()
+        .all(|o| matches!(o.status, FrameStatus::Completed { .. })));
+    elapsed
+}
+
+#[test]
+fn disabled_telemetry_is_cheap_on_the_stream() {
+    let _flag = TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner);
+    let src = Arc::new(synthetic_suite(Resolution::Vga, 1).remove(0));
+    const FRAMES: u64 = 24;
+
+    let mut off = f64::MAX;
+    let mut on = f64::MAX;
+    for _ in 0..3 {
+        obs::set_enabled(false);
+        off = off.min(time_stream(&src, FRAMES));
+        obs::set_enabled(true);
+        on = on.min(time_stream(&src, FRAMES));
+    }
+    assert!(
+        on < off * 3.0 + 1e-3,
+        "enabled {on:.6}s vs disabled {off:.6}s — stream telemetry is not a branch"
+    );
+    assert!(
+        off < on * 3.0 + 1e-3,
+        "disabled {off:.6}s vs enabled {on:.6}s — disabled path is doing work"
+    );
+
+    // Disabled, the frame, queue-wait and service histograms record
+    // nothing; enabled, each records every completed frame once.
+    obs::set_enabled(false);
+    obs::reset();
+    time_stream(&src, 4);
+    let snap = obs::snapshot();
+    for h in STREAM_HISTS {
+        assert_eq!(
+            snap.hist(h).count,
+            0,
+            "{} recorded while disabled",
+            h.name()
+        );
+    }
+    obs::set_enabled(true);
+    time_stream(&src, 4);
+    obs::set_enabled(false);
+    let snap = obs::snapshot();
+    obs::reset();
+    for h in STREAM_HISTS {
+        assert_eq!(
+            snap.hist(h).count,
+            4,
+            "{} must record each frame once",
+            h.name()
+        );
+    }
 }

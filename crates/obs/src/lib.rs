@@ -222,14 +222,22 @@ pub enum HistId {
     /// Wall nanoseconds from a frame's admission to its completion in
     /// the stream engine (queue wait plus processing).
     StreamFrameNanos,
+    /// Wall nanoseconds a completed stream frame waited between
+    /// admission and the start of its run in a leased slot.
+    StreamQueueWaitNanos,
+    /// Wall nanoseconds a completed stream frame spent in its slot, from
+    /// the start of its run through the kernel and the output checksum.
+    StreamServiceNanos,
 }
 
 impl HistId {
     /// Every histogram, in display order.
-    pub const ALL: [HistId; 3] = [
+    pub const ALL: [HistId; 5] = [
         HistId::PipelineBandNanos,
         HistId::HarnessPassNanos,
         HistId::StreamFrameNanos,
+        HistId::StreamQueueWaitNanos,
+        HistId::StreamServiceNanos,
     ];
 
     /// Index into the per-sink histogram array.
@@ -244,6 +252,8 @@ impl HistId {
             HistId::PipelineBandNanos => "pipeline.band_ns",
             HistId::HarnessPassNanos => "harness.pass_ns",
             HistId::StreamFrameNanos => "stream.frame_ns",
+            HistId::StreamQueueWaitNanos => "stream.queue_wait_ns",
+            HistId::StreamServiceNanos => "stream.service_ns",
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use simd_repro::image::{synthetic_suite, Image, Resolution};
 use simd_repro::kernels::prelude::*;
+use simd_repro::kernels::stream::frame_checksum;
 use std::time::Instant;
 
 const FRAMES: usize = 12;
@@ -29,12 +30,14 @@ fn pipeline_frame(frame: &Image<u8>, engine: Engine, parallel: bool) -> KernelRe
 
 fn run(frames: &[Image<u8>], engine: Engine, parallel: bool) -> KernelResult<(f64, u64)> {
     // Checksum guards against dead-code elimination and proves all
-    // configurations compute the same result.
+    // configurations compute the same result. `frame_checksum` sees where
+    // each edge pixel lies, not only how many there are; the rotate keeps
+    // the frame order in the fold.
     let mut checksum = 0u64;
     let start = Instant::now();
     for i in 0..FRAMES {
         let out = pipeline_frame(&frames[i % frames.len()], engine, parallel)?;
-        checksum = checksum.wrapping_add(out.iter_pixels().map(|p| p as u64).sum::<u64>());
+        checksum = checksum.rotate_left(1) ^ frame_checksum(&out);
     }
     Ok((FRAMES as f64 / start.elapsed().as_secs_f64(), checksum))
 }

@@ -62,7 +62,9 @@ stage_repeat() {
 stage_stream_smoke() {
   # Asserts zero shed frames, zero steady-state arena growth, and
   # bit-exact output at the smoke rate; exits nonzero on violation.
+  # Both stream kernels run, so each one's output is checked.
   cargo run -q --release -p repro-harness --bin repro -- stream --quick
+  cargo run -q --release -p repro-harness --bin repro -- stream --quick --kernel edge
 }
 
 stage_telemetry() {
