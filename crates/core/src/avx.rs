@@ -83,6 +83,12 @@ pub fn threshold_row_avx2(src: &[u8], dst: &mut [u8], thresh: u8, maxval: u8, ty
     crate::threshold::threshold_row_native(src, dst, thresh, maxval, ty);
 }
 
+/// Switches on the type once, then runs one branch-free 256-bit loop per
+/// type (`threshold_avx2_body`), as the SSE2 native row does.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn threshold_row_avx2_impl(
@@ -94,31 +100,67 @@ unsafe fn threshold_row_avx2_impl(
 ) {
     use std::arch::x86_64::*;
     assert_eq!(src.len(), dst.len());
-    let width = src.len();
+    // SAFETY: AVX2 present (target_feature + caller check); the body
+    // checks its own bounds.
+    let x = unsafe {
+        let maxval_v = _mm256_set1_epi8(maxval as i8);
+        let thresh_v = _mm256_set1_epi8(thresh as i8);
+        match ty {
+            ThresholdType::Binary => {
+                threshold_avx2_body(src, dst, thresh, |_, gt| _mm256_and_si256(gt, maxval_v))
+            }
+            ThresholdType::BinaryInv => {
+                threshold_avx2_body(src, dst, thresh, |_, gt| _mm256_andnot_si256(gt, maxval_v))
+            }
+            ThresholdType::Trunc => {
+                threshold_avx2_body(src, dst, thresh, |v, _| _mm256_min_epu8(v, thresh_v))
+            }
+            ThresholdType::ToZero => {
+                threshold_avx2_body(src, dst, thresh, |v, gt| _mm256_and_si256(gt, v))
+            }
+            ThresholdType::ToZeroInv => {
+                threshold_avx2_body(src, dst, thresh, |v, gt| _mm256_andnot_si256(gt, v))
+            }
+        }
+    };
+    crate::threshold::threshold_row_scalar(&src[x..], &mut dst[x..], thresh, maxval, ty);
+}
+
+/// The 256-bit threshold loop for one type: sign-flip compare, then
+/// `select(v, gt)` on each 32-byte vector. Returns the first pixel it did
+/// not write.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn threshold_avx2_body(
+    src: &[u8],
+    dst: &mut [u8],
+    thresh: u8,
+    select: impl Fn(
+        std::arch::x86_64::__m256i,
+        std::arch::x86_64::__m256i,
+    ) -> std::arch::x86_64::__m256i,
+) -> usize {
+    use std::arch::x86_64::*;
+    let width = src.len().min(dst.len());
     let mut x = 0;
     // SAFETY: AVX2 present (target_feature + caller check); loads read
     // src[x..x+32], stores write dst[x..x+32], within the checked length.
     unsafe {
         let sign = _mm256_set1_epi8(-128i8);
         let thresh_s = _mm256_xor_si256(_mm256_set1_epi8(thresh as i8), sign);
-        let maxval_v = _mm256_set1_epi8(maxval as i8);
-        let thresh_v = _mm256_set1_epi8(thresh as i8);
         while x + 32 <= width {
             let v = _mm256_loadu_si256(src.as_ptr().add(x) as *const __m256i);
-            let v_s = _mm256_xor_si256(v, sign);
-            let gt = _mm256_cmpgt_epi8(v_s, thresh_s);
-            let out = match ty {
-                ThresholdType::Binary => _mm256_and_si256(gt, maxval_v),
-                ThresholdType::BinaryInv => _mm256_andnot_si256(gt, maxval_v),
-                ThresholdType::Trunc => _mm256_min_epu8(v, thresh_v),
-                ThresholdType::ToZero => _mm256_and_si256(gt, v),
-                ThresholdType::ToZeroInv => _mm256_andnot_si256(gt, v),
-            };
-            _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, out);
+            let gt = _mm256_cmpgt_epi8(_mm256_xor_si256(v, sign), thresh_s);
+            _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, select(v, gt));
             x += 32;
         }
     }
-    crate::threshold::threshold_row_scalar(&src[x..], &mut dst[x..], thresh, maxval, ty);
+    x
 }
 
 /// 256-bit L1 gradient magnitude; falls back without AVX2.

@@ -10,9 +10,25 @@
 //! 2. **Vertical**: `u8[x] = (Σ_k u16_row[y+k-r][x] * w[k] + 2^15) >> 16` —
 //!    accumulated in `u32`, rounded, exact for constant images.
 //!
-//! Each pass has scalar, autovec-friendly, SSE2 and NEON implementations.
-//! The SIMD paths vectorise the interior columns and fall back to scalar at
-//! the replicated borders and row tails.
+//! Each pass has scalar, autovec-friendly, simulated SSE2 and NEON, and
+//! native implementations. The SIMD paths vectorise the interior columns
+//! and fall back to scalar at the replicated borders and row tails.
+//!
+//! On x86_64 each native pass has one SSE2 body, generic over its tap count
+//! `K`; one arm per odd `K` up to [`MAX_TAPS`] picks it, so the tap loop is
+//! fully unrolled and the weights stay in registers. The horizontal body
+//! keeps the per-tap `punpcklbw`/`pmullw`/`paddw` of the simulated SSE2
+//! pass. The vertical body feeds two tap rows to each `pmaddwd`, on
+//! intermediates biased by `-2^15` so they fit its signed lanes; because
+//! the weights sum to 256 the bias cancels exactly:
+//!
+//! `2^23 + 2^15 + Σ_k w[k]·(m_k - 2^15) = Σ_k w[k]·m_k + 2^15`,
+//!
+//! and every partial sum of `w[k]·(m_k - 2^15)` stays within `±2^23`, so
+//! the `i32` lanes never overflow. For every intermediate the horizontal
+//! pass can produce (`m ≤ 65280`) the output is the scalar one bit for bit.
+//! The simulated SSE2 pass keeps the paper's op stream (§V); see DESIGN.md
+//! §12.
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelError, KernelResult};
@@ -188,11 +204,41 @@ pub fn horizontal_row_neon_sim(src: &[u8], dst: &mut [u16], kernel: &FixedKernel
     horizontal_row_scalar_range(src, dst, kernel, x, width);
 }
 
+/// Calls `$body::<K>(args)` for `$len == K`, one arm per odd `K` up to
+/// [`MAX_TAPS`], when `$simd` holds; `$fallback` otherwise.
+#[cfg(target_arch = "x86_64")]
+macro_rules! with_fixed_taps {
+    ($len:expr, $simd:expr, $body:ident $args:tt, $fallback:expr) => {
+        with_fixed_taps!(@arms $len, $simd, $body $args, $fallback;
+            1 3 5 7 9 11 13 15 17 19 21 23 25 27 29 31)
+    };
+    (@arms $len:expr, $simd:expr, $body:ident $args:tt, $fallback:expr; $($k:literal)*) => {
+        match $len {
+            $($k if $simd => $body::<$k> $args,)*
+            _ => $fallback,
+        }
+    };
+}
+
+// The arm list above must end at the scratch ring's tap limit.
+const _: () = assert!(MAX_TAPS == 31);
+
 /// Horizontal pass on the host's real SIMD unit.
+///
+/// On x86_64 an odd tap count up to [`MAX_TAPS`] with `u8` weights and a
+/// row of at least `2r + 8` pixels runs the fixed-tap SSE2 body; anything
+/// else runs [`horizontal_row_scalar`].
 pub fn horizontal_row_native(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
     #[cfg(target_arch = "x86_64")]
     {
-        horizontal_row_native_sse2(src, dst, kernel);
+        let r = kernel.radius;
+        let simd = kernel.fits_u8() && kernel.len() == 2 * r + 1 && src.len() >= 2 * r + 8;
+        with_fixed_taps!(
+            kernel.len(),
+            simd,
+            horizontal_row_sse2(src, dst, kernel),
+            horizontal_row_scalar(src, dst, kernel)
+        )
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -200,34 +246,32 @@ pub fn horizontal_row_native(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) 
     }
 }
 
+/// The SSE2 horizontal body for exactly `K` taps: per tap, widen eight
+/// bytes with `punpcklbw`, multiply by the splatted weight with `pmullw`,
+/// and add with `paddw`. The tap loop has a constant trip count, so it is
+/// fully unrolled and the `K` weights stay in registers.
 #[cfg(target_arch = "x86_64")]
-fn horizontal_row_native_sse2(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
+#[inline(never)] // one symbol per tap count, so each instance disassembles on its own
+fn horizontal_row_sse2<const K: usize>(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
     use std::arch::x86_64::*;
-    assert_eq!(src.len(), dst.len());
     let width = src.len();
-    let r = kernel.radius;
-    if width < 2 * r + 8 || !kernel.fits_u8() || kernel.len() > MAX_TAPS {
-        horizontal_row_scalar(src, dst, kernel);
-        return;
-    }
+    let r = K / 2;
+    assert!(dst.len() == width && kernel.len() == K && kernel.radius == r && width >= 2 * r + 8);
     horizontal_row_scalar_range(src, dst, kernel, 0, r);
     let mut x = r;
-    // SAFETY: per tap the 64-bit load reads src[x-r+k .. x-r+k+8]; with
-    // x + 8 <= width - r and k <= 2r this stays within src. The store
-    // writes dst[x..x+8] <= width. SSE2 is baseline on x86_64.
+    // SAFETY: tap k's 64-bit load reads src[x-r+k .. x-r+k+8]; with
+    // k < K = 2r + 1 and x + 8 <= width - r it stays within src. The store
+    // writes dst[x..x+8] and dst.len() == width. SSE2 is baseline on x86_64.
     unsafe {
         let zero = _mm_setzero_si128();
-        let mut weights = [zero; MAX_TAPS];
-        for (wv, &w) in weights.iter_mut().zip(kernel.weights.iter()) {
-            *wv = _mm_set1_epi16(w as i16);
-        }
-        let weights = &weights[..kernel.len()];
+        let weights: [__m128i; K] =
+            std::array::from_fn(|k| _mm_set1_epi16(kernel.weights[k] as i16));
         while x + 8 <= width - r {
-            let mut acc = _mm_setzero_si128();
+            let window = src.as_ptr().add(x - r);
+            let mut acc = zero;
             for (k, wv) in weights.iter().enumerate() {
-                let v = _mm_loadl_epi64(src.as_ptr().add(x - r + k) as *const __m128i);
-                let wide = _mm_unpacklo_epi8(v, zero);
-                acc = _mm_add_epi16(acc, _mm_mullo_epi16(wide, *wv));
+                let v = _mm_loadl_epi64(window.add(k) as *const __m128i);
+                acc = _mm_add_epi16(acc, _mm_mullo_epi16(_mm_unpacklo_epi8(v, zero), *wv));
             }
             _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, acc);
             x += 8;
@@ -396,10 +440,20 @@ fn vertical_row_scalar_range(
 }
 
 /// Vertical pass on the host's real SIMD unit.
+///
+/// On x86_64 an odd tap count up to [`MAX_TAPS`] whose weights lie in
+/// `0..=256` and sum to 256 runs the fixed-tap SSE2 body; anything else
+/// runs [`vertical_row_scalar`].
 pub fn vertical_row_native(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
     #[cfg(target_arch = "x86_64")]
     {
-        vertical_row_native_sse2(taps, dst, kernel);
+        let simd = kernel.sum() == 256 && kernel.weights.iter().all(|w| (0..=256).contains(w));
+        with_fixed_taps!(
+            kernel.len(),
+            simd,
+            vertical_row_sse2(taps, dst, kernel),
+            vertical_row_scalar(taps, dst, kernel)
+        )
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -407,41 +461,75 @@ pub fn vertical_row_native(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel
     }
 }
 
+/// The SSE2 vertical body for exactly `K` taps, 16 pixels per iteration,
+/// two tap rows per `pmaddwd`.
+///
+/// `pmaddwd` multiplies signed 16-bit lanes, so each `u16` intermediate `m`
+/// is xored with `0x8000` first; the signed lane then holds `m - 2^15`.
+/// Rows `2i` and `2i + 1` are interleaved with `punpckl/hwd` and multiplied
+/// by the weight pair `(w[2i], w[2i+1])`; for odd `K` the last row pairs
+/// with itself at weight 0. Both `i32` accumulators start at
+/// `2^23 + 2^15`. Because the weights sum to 256,
+///
+/// `2^23 + 2^15 + Σ w·(m - 2^15) = Σ w·m + 2^15`,
+///
+/// which is the scalar accumulator, so `>> 16` gives the scalar result bit
+/// for bit whenever it fits a `u8` (every `m ≤ 65280`). With
+/// `0 <= w <= 256` and `Σ w = 256`, every partial sum of `w·(m - 2^15)`
+/// lies in `[-2^23, 2^23)`, so no `i32` lane overflows.
 #[cfg(target_arch = "x86_64")]
-fn vertical_row_native_sse2(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
+#[inline(never)] // one symbol per tap count, as for the horizontal body
+fn vertical_row_sse2<const K: usize>(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
     use std::arch::x86_64::*;
-    assert_eq!(taps.len(), kernel.len());
-    if kernel.len() > MAX_TAPS {
-        vertical_row_scalar(taps, dst, kernel);
-        return;
-    }
     let width = dst.len();
+    assert!(taps.len() == K && kernel.len() == K);
+    assert!(taps.iter().all(|row| row.len() >= width));
+    let rows: [*const u16; K] = std::array::from_fn(|k| taps[k].as_ptr());
     let mut x = 0;
-    // SAFETY: loads read row[x..x+8] of each tap row (length >= width);
-    // the 64-bit store writes dst[x..x+8]; x + 8 <= width throughout.
+    // SAFETY: every load reads rows[k][x..x+8] with x + 8 <= width, and
+    // each tap row holds at least `width` values (asserted above). The
+    // stores write dst[x..x+16] or dst[x..x+8] under the same bound. SSE2
+    // is baseline on x86_64.
     unsafe {
-        let round = _mm_set1_epi32(ROUND as i32);
-        let mut weights = [_mm_setzero_si128(); MAX_TAPS];
-        for (wv, &w) in weights.iter_mut().zip(kernel.weights.iter()) {
-            *wv = _mm_set1_epi16(w as i16);
-        }
-        let weights = &weights[..kernel.len()];
-        while x + 8 <= width {
-            let mut acc_lo = round;
-            let mut acc_hi = round;
-            for (row, wv) in taps.iter().zip(weights.iter()) {
-                debug_assert!(row.len() >= width);
-                let v = _mm_loadu_si128(row.as_ptr().add(x) as *const __m128i);
-                let lo16 = _mm_mullo_epi16(v, *wv);
-                let hi16 = _mm_mulhi_epu16(v, *wv);
-                acc_lo = _mm_add_epi32(acc_lo, _mm_unpacklo_epi16(lo16, hi16));
-                acc_hi = _mm_add_epi32(acc_hi, _mm_unpackhi_epi16(lo16, hi16));
+        let flip = _mm_set1_epi16(i16::MIN);
+        let start = _mm_set1_epi32((1 << 23) + ROUND as i32);
+        // Pair i (of K.div_ceil(2)) holds w[2i] in the low and w[2i+1] in the
+        // high half of each 32-bit lane; entries past the pairs stay zero.
+        let pairs: [__m128i; K] = std::array::from_fn(|i| {
+            let lo = kernel.weights.get(2 * i).copied().unwrap_or(0);
+            let hi = kernel.weights.get(2 * i + 1).copied().unwrap_or(0);
+            _mm_set1_epi32(lo | (hi << 16))
+        });
+        // Eight output pixels starting at `x`, as saturated `i16` lanes.
+        let eight = |x: usize| {
+            let mut acc_lo = start;
+            let mut acc_hi = start;
+            for (i, wp) in pairs.iter().enumerate().take(K.div_ceil(2)) {
+                let a = _mm_xor_si128(_mm_loadu_si128(rows[2 * i].add(x) as *const __m128i), flip);
+                let b = if 2 * i + 1 < K {
+                    _mm_xor_si128(
+                        _mm_loadu_si128(rows[2 * i + 1].add(x) as *const __m128i),
+                        flip,
+                    )
+                } else {
+                    a
+                };
+                acc_lo = _mm_add_epi32(acc_lo, _mm_madd_epi16(_mm_unpacklo_epi16(a, b), *wp));
+                acc_hi = _mm_add_epi32(acc_hi, _mm_madd_epi16(_mm_unpackhi_epi16(a, b), *wp));
             }
-            let r_lo = _mm_srli_epi32::<16>(acc_lo);
-            let r_hi = _mm_srli_epi32::<16>(acc_hi);
-            let packed16 = _mm_packs_epi32(r_lo, r_hi);
-            let packed8 = _mm_packus_epi16(packed16, packed16);
-            _mm_storel_epi64(dst.as_mut_ptr().add(x) as *mut __m128i, packed8);
+            _mm_packs_epi32(_mm_srai_epi32::<16>(acc_lo), _mm_srai_epi32::<16>(acc_hi))
+        };
+        while x + 16 <= width {
+            let packed = _mm_packus_epi16(eight(x), eight(x + 8));
+            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, packed);
+            x += 16;
+        }
+        if x + 8 <= width {
+            let lo = eight(x);
+            _mm_storel_epi64(
+                dst.as_mut_ptr().add(x) as *mut __m128i,
+                _mm_packus_epi16(lo, lo),
+            );
             x += 8;
         }
     }
@@ -552,6 +640,83 @@ mod tests {
                 let mut out = Image::new(width, 9);
                 blur(&src, &mut out, engine);
                 assert!(out.pixels_eq(&reference), "{engine:?} width {width}");
+            }
+        }
+    }
+
+    /// Odd tap counts from 1 to `MAX_TAPS`.
+    fn odd_tap_counts() -> impl Iterator<Item = usize> {
+        (1..=MAX_TAPS).step_by(2)
+    }
+
+    /// A Q8 kernel of `k` taps for the row tests, plus, for each `k`, the
+    /// kernels with all 256 of the weight on the first, centre and last tap.
+    fn row_kernels(k: usize) -> Vec<FixedKernel> {
+        let mut kernels = vec![gaussian_kernel_q8(k as f64 / 4.0, k)];
+        for tap in [0, k / 2, k - 1] {
+            let mut weights = vec![0; k];
+            weights[tap] = 256;
+            kernels.push(FixedKernel {
+                weights,
+                radius: k / 2,
+            });
+        }
+        kernels
+    }
+
+    #[test]
+    fn native_vertical_row_matches_scalar_for_every_tap_count() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x6A55);
+        // 65280 = 255 * 256 is the largest intermediate the horizontal
+        // pass produces; widths straddle the 16- and 8-pixel blocks.
+        for k in odd_tap_counts() {
+            for kernel in row_kernels(k) {
+                for width in [1, 7, 8, 9, 15, 16, 17, 23, 24, 31, 33, 64, 77] {
+                    let extremes: Vec<Vec<u16>> = (0..k)
+                        .map(|t| {
+                            (0..width)
+                                .map(|x| if (x + t) % 3 == 0 { 65280 } else { 0 })
+                                .collect()
+                        })
+                        .collect();
+                    let random: Vec<Vec<u16>> = (0..k)
+                        .map(|_| (0..width).map(|_| rng.gen_range(0..65281u16)).collect())
+                        .collect();
+                    let full: Vec<Vec<u16>> = vec![vec![65280; width]; k];
+                    for rows in [&extremes, &random, &full] {
+                        let taps: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+                        let mut expect = vec![0u8; width];
+                        vertical_row_scalar(&taps, &mut expect, &kernel);
+                        let mut out = vec![0u8; width];
+                        vertical_row(&taps, &mut out, &kernel, Engine::Native);
+                        assert_eq!(
+                            out, expect,
+                            "k {k} weights {:?} width {width}",
+                            kernel.weights
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn native_horizontal_row_matches_scalar_around_block_edges() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4812);
+        for k in odd_tap_counts() {
+            let r = k / 2;
+            let kernel = gaussian_kernel_q8(k as f64 / 4.0, k);
+            for len in (2 * r + 6..=2 * r + 10).chain(2 * r + 14..=2 * r + 18) {
+                let random: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+                for src in [random, vec![255; len]] {
+                    let mut expect = vec![0u16; len];
+                    horizontal_row_scalar(&src, &mut expect, &kernel);
+                    let mut out = vec![0u16; len];
+                    horizontal_row(&src, &mut out, &kernel, Engine::Native);
+                    assert_eq!(out, expect, "k {k} len {len}");
+                }
             }
         }
     }

@@ -241,6 +241,8 @@ pub fn threshold_row_native(src: &[u8], dst: &mut [u8], thresh: u8, maxval: u8, 
     }
 }
 
+/// OpenCV's `thresh_8u` shape: switch on the type once, then run one
+/// branch-free SSE2 loop per type (`threshold_sse2_body`).
 #[cfg(target_arch = "x86_64")]
 fn threshold_row_native_sse2(
     src: &[u8],
@@ -251,31 +253,61 @@ fn threshold_row_native_sse2(
 ) {
     use std::arch::x86_64::*;
     assert_eq!(src.len(), dst.len());
-    let width = src.len();
+    // SAFETY: SSE2 is baseline on x86_64; the body checks its own bounds.
+    let x = unsafe {
+        let maxval_v = _mm_set1_epi8(maxval as i8);
+        let thresh_v = _mm_set1_epi8(thresh as i8);
+        match ty {
+            ThresholdType::Binary => {
+                threshold_sse2_body(src, dst, thresh, |_, gt| _mm_and_si128(gt, maxval_v))
+            }
+            ThresholdType::BinaryInv => {
+                threshold_sse2_body(src, dst, thresh, |_, gt| _mm_andnot_si128(gt, maxval_v))
+            }
+            ThresholdType::Trunc => {
+                threshold_sse2_body(src, dst, thresh, |v, _| _mm_min_epu8(v, thresh_v))
+            }
+            ThresholdType::ToZero => {
+                threshold_sse2_body(src, dst, thresh, |v, gt| _mm_and_si128(gt, v))
+            }
+            ThresholdType::ToZeroInv => {
+                threshold_sse2_body(src, dst, thresh, |v, gt| _mm_andnot_si128(gt, v))
+            }
+        }
+    };
+    threshold_row_scalar(&src[x..], &mut dst[x..], thresh, maxval, ty);
+}
+
+/// The SSE2 threshold loop for one type: unsigned `src > thresh` via the
+/// sign-flip trick, then `select(v, gt)` on each 16-byte vector. Returns
+/// the first pixel it did not write.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn threshold_sse2_body(
+    src: &[u8],
+    dst: &mut [u8],
+    thresh: u8,
+    select: impl Fn(
+        std::arch::x86_64::__m128i,
+        std::arch::x86_64::__m128i,
+    ) -> std::arch::x86_64::__m128i,
+) -> usize {
+    use std::arch::x86_64::*;
+    let width = src.len().min(dst.len());
     let mut x = 0;
     // SAFETY: loads read src[x..x+16], stores write dst[x..x+16]; the loop
     // bound keeps both in range. SSE2 is baseline on x86_64.
     unsafe {
         let sign = _mm_set1_epi8(-128i8);
         let thresh_s = _mm_xor_si128(_mm_set1_epi8(thresh as i8), sign);
-        let maxval_v = _mm_set1_epi8(maxval as i8);
-        let thresh_v = _mm_set1_epi8(thresh as i8);
         while x + 16 <= width {
             let v = _mm_loadu_si128(src.as_ptr().add(x) as *const __m128i);
-            let v_s = _mm_xor_si128(v, sign);
-            let gt = _mm_cmpgt_epi8(v_s, thresh_s);
-            let out = match ty {
-                ThresholdType::Binary => _mm_and_si128(gt, maxval_v),
-                ThresholdType::BinaryInv => _mm_andnot_si128(gt, maxval_v),
-                ThresholdType::Trunc => _mm_min_epu8(v, thresh_v),
-                ThresholdType::ToZero => _mm_and_si128(gt, v),
-                ThresholdType::ToZeroInv => _mm_andnot_si128(gt, v),
-            };
-            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, out);
+            let gt = _mm_cmpgt_epi8(_mm_xor_si128(v, sign), thresh_s);
+            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, select(v, gt));
             x += 16;
         }
     }
-    threshold_row_scalar(&src[x..], &mut dst[x..], thresh, maxval, ty);
+    x
 }
 
 #[cfg(target_arch = "aarch64")]

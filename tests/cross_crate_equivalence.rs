@@ -4,7 +4,9 @@
 //! computation* two ways).
 
 use simd_repro::image::{bmp, synthetic_image, synthetic_image_f32};
+use simd_repro::kernels::kernelgen::{gaussian_kernel_q8, FixedKernel};
 use simd_repro::kernels::prelude::*;
+use simd_repro::kernels::scratch::MAX_TAPS;
 
 const SHAPES: &[(usize, usize)] = &[(1, 1), (7, 3), (16, 16), (33, 9), (640, 48), (129, 65)];
 
@@ -58,6 +60,61 @@ fn gaussian_equivalence_over_shapes() {
             let mut out = Image::new(w, h);
             try_gaussian_blur_kernel(&src, &mut out, &kernel, engine).unwrap();
             assert!(out.pixels_eq(&reference), "{w}x{h} {engine:?}");
+        }
+    }
+
+    // Every odd tap count the fused ring takes, with σ swept from 0.5 to
+    // 15.9 across them (kernels that do not fit u8 are skipped), plus one
+    // asymmetric kernel; every width from 2r + 1 to r + 40, across the 8-
+    // and 16-pixel block edges. The frames rotate with the width through
+    // noise, all-255 (every intermediate at 65280), all-0, and a 128
+    // impulse, whose outputs 128·w[i]·w[j] land exactly on the rounding
+    // tie when w[i]·w[j] is an odd multiple of 256.
+    let mut kernels: Vec<FixedKernel> = (3..=MAX_TAPS)
+        .step_by(2)
+        .map(|k| {
+            let sigma = if k % 4 == 1 {
+                k as f64 / 6.0
+            } else {
+                0.4 + k as f64 / 2.0
+            };
+            gaussian_kernel_q8(sigma, k)
+        })
+        .filter(FixedKernel::fits_u8)
+        .collect();
+    kernels.push(FixedKernel {
+        weights: vec![9, 30, 101, 64, 40, 12, 0, 0, 0],
+        radius: 4,
+    });
+    let mut scratch = Scratch::new();
+    for kernel in &kernels {
+        assert_eq!(kernel.sum(), 256);
+        let (r, h) = (kernel.radius, 4);
+        let noise = synthetic_image(r + 40, h, r as u64);
+        for w in 2 * r + 1..=r + 40 {
+            let src = match w % 4 {
+                0 => Image::from_fn(w, h, |x, y| noise.get(x, y)),
+                1 => Image::from_fn(w, h, |_, _| 255u8),
+                2 => Image::new(w, h),
+                _ => Image::from_fn(w, h, |x, y| if (x, y) == (w / 2, 1) { 128 } else { 0 }),
+            };
+            let plan = BandPlan::for_width(w);
+            let mut reference = Image::new(w, h);
+            try_gaussian_blur_kernel(&src, &mut reference, kernel, Engine::Scalar).unwrap();
+            for engine in hand_engines() {
+                let at = format!("{w}x{h} {engine:?} weights {:?}", kernel.weights);
+                // A poisoned destination, so a path that skips pixels fails.
+                let poisoned = || Image::from_fn(w, h, |_, _| 0xA5u8);
+                let mut out = poisoned();
+                try_gaussian_blur_kernel(&src, &mut out, kernel, engine).unwrap();
+                assert!(out.pixels_eq(&reference), "two-pass {at}");
+                let mut out = poisoned();
+                try_fused_gaussian_blur_with(&src, &mut out, kernel, engine, &mut scratch).unwrap();
+                assert!(out.pixels_eq(&reference), "fused {at}");
+                let mut out = poisoned();
+                try_par_fused_gaussian_blur_with(&src, &mut out, kernel, engine, &plan).unwrap();
+                assert!(out.pixels_eq(&reference), "par fused {at}");
+            }
         }
     }
 }
