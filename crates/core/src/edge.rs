@@ -137,6 +137,166 @@ pub fn magnitude_row_native(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// One-pass edge row: both gradients, magnitude and threshold in registers
+// ---------------------------------------------------------------------------
+
+/// One output pixel of the one-pass edge row: the scalar definition that
+/// [`edge_row_native`] vectorises, with horizontal borders replicated.
+///
+/// With column sums `S(c) = a[c] + 2h[c] + b[c]` and column differences
+/// `D(c) = b[c] − a[c]`, the separable Sobel pair is
+/// `gx = S(x+1) − S(x−1)` and `gy = D(x−1) + 2D(x) + D(x+1)`: the same
+/// sums the two-pass kernel forms, in another order, exact on values
+/// bounded by ±1020.
+#[inline]
+fn edge_px(above: &[u8], here: &[u8], below: &[u8], x: usize, thresh: u8) -> u8 {
+    let w = here.len();
+    let (xm, xp) = (x.saturating_sub(1), (x + 1).min(w - 1));
+    let s = |c: usize| above[c] as i32 + 2 * here[c] as i32 + below[c] as i32;
+    let d = |c: usize| below[c] as i32 - above[c] as i32;
+    let gx = s(xp) - s(xm);
+    let gy = d(xm) + 2 * d(x) + d(xp);
+    let mag = (gx.unsigned_abs() + gy.unsigned_abs()).min(255) as u8;
+    if mag > thresh {
+        255
+    } else {
+        0
+    }
+}
+
+/// Scalar one-pass edge row: output row `dst` from source rows `above`,
+/// `here` and `below` (the caller clamps the row indices at the image
+/// border). Bit-identical to the two-pass chain of
+/// [`try_edge_detect`] on the same rows; the reference for
+/// [`edge_row_native`] and its fallback off x86_64. Panics if the four
+/// rows differ in length.
+pub fn edge_row_scalar(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], thresh: u8) {
+    let w = dst.len();
+    assert!(above.len() == w && here.len() == w && below.len() == w);
+    for (x, out) in dst.iter_mut().enumerate() {
+        *out = edge_px(above, here, below, x, thresh);
+    }
+}
+
+/// One-pass SSE2 edge row: Sobel X, Sobel Y, the saturated L1 magnitude
+/// and the binary threshold for 16 pixels per iteration, with every
+/// intermediate in registers. Bit-identical to [`edge_row_scalar`].
+///
+/// Per block of 16 pixels at `x` it makes eight unaligned 16-byte loads:
+/// `above` and `below` at `x−1`, `x` and `x+1`, and `here` at `x−1` and
+/// `x+1` (the centre row's own column has weight 0 in both gradients).
+/// Widened to i16, it forms `gx = S(x+1) − S(x−1)` and
+/// `gy = D(x−1) + 2D(x) + D(x+1)` (column sums `S = a + 2h + b`, column
+/// differences `D = b − a`) with their shared terms grouped once: with
+/// `u = b(x+1) − a(x−1)`, `v = a(x+1) − b(x−1)`, `e = h(x+1) − h(x−1)`
+/// and `f = b(x) − a(x)`, `gx = u + v + 2e` and `gy = u − v + 2f`. Every
+/// term is bounded by ±1020, so no i16 step wraps. `|g|` is
+/// `max(g, −g)`, the sum saturates with `adds_epi16` and `packus` to u8,
+/// and `mag > thresh` is one signed byte compare on operands biased by
+/// 0x80, whose all-ones lanes are the 255 the binary threshold writes.
+///
+/// # Panics
+///
+/// If `above`, `here`, `below` and `dst` differ in length.
+///
+/// # Safety of the unaligned loads
+///
+/// The function is safe to call; this is why its unsafe loop stays in
+/// bounds. A block at `x` reads bytes `[x−1, x+17)` of each row and
+/// writes `dst[x..x+16]`, so every block keeps `1 <= x <= w − 17`: the
+/// loop starts at 1, steps by 16, and its last block is moved back to
+/// `w − 17` (overlapping the one before and writing the same bytes)
+/// rather than leaving a scalar tail. Columns 0 and `w − 1`, whose
+/// neighbours are clamped, and rows narrower than 18 pixels, which have
+/// no such block, run [`edge_row_scalar`]'s per-pixel body.
+// Its own symbol, so `objdump` shows the vector loop alone.
+#[inline(never)]
+pub fn edge_row_native(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], thresh: u8) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::*;
+        let w = dst.len();
+        assert!(above.len() == w && here.len() == w && below.len() == w);
+        if w < 18 {
+            edge_row_scalar(above, here, below, dst, thresh);
+            return;
+        }
+        dst[0] = edge_px(above, here, below, 0, thresh);
+        dst[w - 1] = edge_px(above, here, below, w - 1, thresh);
+        let last = w - 17;
+        let (a, h, b, out) = (
+            above.as_ptr(),
+            here.as_ptr(),
+            below.as_ptr(),
+            dst.as_mut_ptr(),
+        );
+        // SAFETY: every block has 1 <= x <= w - 17, so its loads read
+        // bytes [x-1, x+17) ⊆ [0, w) of rows of length w (asserted above),
+        // and its store writes dst[x..x+16] ⊆ [0, w). The pointers are
+        // only read through `_mm_loadu_si128`/written through
+        // `_mm_storeu_si128`, which take any alignment.
+        unsafe {
+            let ld = |p: *const u8, x: usize| _mm_loadu_si128(p.add(x) as *const __m128i);
+            let bias = _mm_set1_epi8(i8::MIN);
+            let thr = _mm_xor_si128(_mm_set1_epi8(thresh as i8), bias);
+            let mut x = 1;
+            loop {
+                let (al, ac, ar) = (ld(a, x - 1), ld(a, x), ld(a, x + 1));
+                let (bl, bc, br) = (ld(b, x - 1), ld(b, x), ld(b, x + 1));
+                let (hl, hr) = (ld(h, x - 1), ld(h, x + 1));
+                let rows = [al, ac, ar, bl, bc, br, hl, hr];
+                let lo = edge_mag_half_sse2::<false>(rows);
+                let hi = edge_mag_half_sse2::<true>(rows);
+                let mag = _mm_packus_epi16(lo, hi);
+                let edge = _mm_cmpgt_epi8(_mm_xor_si128(mag, bias), thr);
+                _mm_storeu_si128(out.add(x) as *mut __m128i, edge);
+                if x == last {
+                    break;
+                }
+                x = (x + 16).min(last);
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        edge_row_scalar(above, here, below, dst, thresh);
+    }
+}
+
+/// `|gx| + |gy|` (saturating i16) for the low (`HI = false`) or high 8
+/// lanes of the loads `[al, ac, ar, bl, bc, br, hl, hr]` of
+/// [`edge_row_native`]: `a`/`b`/`h` are the rows above/below/here, and
+/// `l`/`c`/`r` the columns `x−1`, `x` and `x+1`.
+///
+/// # Safety
+///
+/// The CPU must have SSE2, which every x86_64 CPU has. The function only
+/// computes on its register arguments; it touches no memory.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn edge_mag_half_sse2<const HI: bool>(
+    rows: [std::arch::x86_64::__m128i; 8],
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    let zero = _mm_setzero_si128();
+    let wide = |v| {
+        if HI {
+            _mm_unpackhi_epi8(v, zero)
+        } else {
+            _mm_unpacklo_epi8(v, zero)
+        }
+    };
+    let [al, ac, ar, bl, bc, br, hl, hr] = rows.map(wide);
+    let (u, v) = (_mm_sub_epi16(br, al), _mm_sub_epi16(ar, bl));
+    let (e, f) = (_mm_sub_epi16(hr, hl), _mm_sub_epi16(bc, ac));
+    let gx = _mm_add_epi16(_mm_add_epi16(u, v), _mm_add_epi16(e, e));
+    let gy = _mm_add_epi16(_mm_sub_epi16(u, v), _mm_add_epi16(f, f));
+    let ax = _mm_max_epi16(gx, _mm_sub_epi16(zero, gx));
+    let ay = _mm_max_epi16(gy, _mm_sub_epi16(zero, gy));
+    _mm_adds_epi16(ax, ay)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

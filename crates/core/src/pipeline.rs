@@ -37,7 +37,7 @@
 //! paths).
 
 use crate::dispatch::Engine;
-use crate::edge::magnitude_row;
+use crate::edge::{edge_row_native, magnitude_row};
 use crate::error::{validate_pair, KernelError, KernelResult};
 use crate::gaussian::{horizontal_row, vertical_row};
 use crate::kernelgen::FixedKernel;
@@ -423,9 +423,11 @@ fn edge_op(
 
 /// Runs the fused edge chain over dst rows `[y0, y1)`.
 ///
-/// Both horizontal passes (difference for gx, smoothing for gy) advance in
-/// lockstep through their own 3-row rings; gx/gy/magnitude exist only as
-/// single rows.
+/// [`Engine::Native`] runs [`edge_row_native`] once per output row,
+/// straight from the three clamped source rows: no ring, so no halo row
+/// is recomputed. Every other engine advances both horizontal passes
+/// (difference for gx, smoothing for gy) in lockstep through their own
+/// 3-row rings; gx/gy/magnitude exist only as single rows.
 #[allow(clippy::too_many_arguments)]
 fn edge_band(
     src: &Image<u8>,
@@ -440,6 +442,17 @@ fn edge_band(
     faultline::fire("pipeline.band");
     let width = src.width();
     let height = src.height();
+    if engine == Engine::Native {
+        let _telemetry = BandTelemetry::start(y0, y0);
+        for y in y0..y1 {
+            let above = src.row(clamp_row(y as isize - 1, height));
+            let below = src.row(clamp_row(y as isize + 1, height));
+            let row0 = (y - y0) * dst_stride;
+            let drow = &mut dst_band[row0..row0 + width];
+            edge_row_native(above, src.row(y), below, drow, thresh);
+        }
+        return;
+    }
     let mut next = (y0 as isize - 1).max(0) as usize;
     let _telemetry = BandTelemetry::start(y0, next);
     for y in y0..y1 {

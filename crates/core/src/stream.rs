@@ -947,26 +947,38 @@ mod tests {
 
     #[test]
     fn edge_kernel_streams_and_checksums_match_serial() {
-        let mut cfg = StreamConfig::new(80, 60);
-        cfg.kernel = StreamKernel::Edge;
-        cfg.thresh = 96;
         let frame = test_frame(80, 60);
+        // The serial two-pass scalar kernel: a fault in the fused rows of
+        // the engine under test cannot agree with it.
+        let mut two_pass = Image::new(80, 60);
+        crate::edge::try_edge_detect(&frame, &mut two_pass, 96, Engine::Scalar).unwrap();
+        let scalar = frame_checksum(&two_pass);
+        // The default engine, and the one-pass native edge row.
+        for engine in [StreamConfig::new(80, 60).engine, Engine::Native] {
+            let mut cfg = StreamConfig::new(80, 60);
+            cfg.kernel = StreamKernel::Edge;
+            cfg.thresh = 96;
+            cfg.engine = engine;
 
-        let mut reference = Image::new(80, 60);
-        let mut scratch = Scratch::new();
-        try_fused_edge_detect_with(&frame, &mut reference, 96, cfg.engine, &mut scratch).unwrap();
-        let want = frame_checksum(&reference);
+            let mut reference = Image::new(80, 60);
+            let mut scratch = Scratch::new();
+            try_fused_edge_detect_with(&frame, &mut reference, 96, cfg.engine, &mut scratch)
+                .unwrap();
+            let want = frame_checksum(&reference);
+            assert_eq!(want, scalar, "{engine:?}");
 
-        let engine = StreamEngine::new(cfg).unwrap();
-        for id in 0..8u64 {
-            while let Err(StreamError::Saturated { .. }) = engine.submit(id, Arc::clone(&frame)) {
-                engine.wait_idle();
+            let engine = StreamEngine::new(cfg).unwrap();
+            for id in 0..8u64 {
+                while let Err(StreamError::Saturated { .. }) = engine.submit(id, Arc::clone(&frame))
+                {
+                    engine.wait_idle();
+                }
             }
-        }
-        let outcomes = engine.finish();
-        assert_eq!(summarize(&outcomes).completed, 8);
-        for o in &outcomes {
-            assert_eq!(o.status, FrameStatus::Completed { checksum: want });
+            let outcomes = engine.finish();
+            assert_eq!(summarize(&outcomes).completed, 8);
+            for o in &outcomes {
+                assert_eq!(o.status, FrameStatus::Completed { checksum: want });
+            }
         }
     }
 

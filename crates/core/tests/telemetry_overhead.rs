@@ -148,3 +148,31 @@ fn disabled_telemetry_is_cheap_on_the_stream() {
         );
     }
 }
+
+#[test]
+fn halo_rows_count_only_ring_recomputation() {
+    let _flag = TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner);
+    let src = synthetic_suite(Resolution::Vga, 1).remove(0);
+    let mut dst = Image::<u8>::new(src.width(), src.height());
+    let plan = BandPlan { band_rows: 48 };
+    let bands = plan.num_bands(src.height()) as u64;
+    let halo_rows = |engine: Engine, dst: &mut Image<u8>| {
+        obs::reset();
+        obs::set_enabled(true);
+        try_par_fused_edge_detect_with(&src, dst, 96, engine, &plan).unwrap();
+        obs::set_enabled(false);
+        let snap = obs::snapshot();
+        obs::reset();
+        assert_eq!(
+            snap.counter(obs::Counter::PipelineBands),
+            bands,
+            "{engine:?}"
+        );
+        snap.counter(obs::Counter::PipelineHaloRows)
+    };
+    // The native edge band reads its three source rows directly and keeps
+    // no ring, so it recomputes nothing; the ring chain recomputes the one
+    // row above every band but the first.
+    assert_eq!(halo_rows(Engine::Native, &mut dst), 0);
+    assert_eq!(halo_rows(Engine::Autovec, &mut dst), bands - 1);
+}

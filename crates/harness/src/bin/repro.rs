@@ -302,7 +302,8 @@ fn telemetry_report(path: &str) {
 /// Stats mode: run a short instrumented exercise of all three telemetry
 /// layers — the fused band pipeline (serial), the work-stealing pool
 /// (banded parallel), and the harness timing protocol — then print the
-/// full report and write the JSON dump.
+/// full report and write the JSON dump. The pooled passes run on the
+/// global pool at the host's width, as `repro parallel` does.
 fn stats_mode(args: &[String]) {
     use repro_harness::timing::{measure_fused, measure_parallel};
 
@@ -325,8 +326,10 @@ fn stats_mode(args: &[String]) {
         res.label()
     );
     println!(
-        "protocol: {} images x {} cycles per point\n",
-        config.images, config.cycles
+        "pool width {}; protocol: {} images x {} cycles per point\n",
+        rayon::current_num_threads(),
+        config.images,
+        config.cycles
     );
     let work = WorkSet::new(res, config.images);
     let engine = host_hand_engine();
@@ -340,12 +343,8 @@ fn stats_mode(args: &[String]) {
             m.runs
         );
     }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool build");
     for kernel in STENCILS {
-        let m = pool.install(|| measure_parallel(kernel, engine, &work, &config));
+        let m = measure_parallel(kernel, engine, &work, &config);
         println!(
             "pooled {:<10} mean {:.6}s over {} passes",
             kernel.table3_label(),
@@ -667,17 +666,18 @@ fn live_workers_after_wait(want: usize) -> usize {
 /// admitted, measuring the engine's capacity.
 ///
 /// `--quick` is the CI smoke: small frames at a gentle rate, asserting
-/// zero shed, zero failures, bit-exact output against the serial fused
-/// kernel, and a flat slot-arena ledger across the steady state (the
+/// zero shed, zero failures, bit-exact output against the serial
+/// two-pass scalar kernel, and a flat slot-arena ledger across the steady state (the
 /// zero-allocation proof). Exits non-zero on any violation.
 fn stream_mode(args: &[String]) {
+    use simdbench_core::edge::try_edge_detect;
+    use simdbench_core::gaussian::try_gaussian_blur_kernel;
     use simdbench_core::kernelgen::paper_gaussian_kernel;
-    use simdbench_core::pipeline::{try_fused_edge_detect_with, try_fused_gaussian_blur_with};
-    use simdbench_core::scratch::Scratch;
     use simdbench_core::stream::{
         frame_checksum, summarize, FrameStatus, StreamConfig, StreamEngine, StreamError,
         StreamKernel,
     };
+    use simdbench_core::Engine;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -761,25 +761,21 @@ fn stream_mode(args: &[String]) {
     );
 
     let src = Arc::new(pixelimage::synthetic_image(width, height, 7));
-    // Serial reference checksum for the bit-exactness check.
+    // Reference checksum for the bit-exactness check, from the serial
+    // two-pass scalar kernel: a fault in the stream engine's own fused
+    // rows cannot then agree with itself.
     let want = {
         let mut reference = pixelimage::Image::new(width, height);
-        let mut scratch = Scratch::new();
         match config.kernel {
-            StreamKernel::Gaussian => try_fused_gaussian_blur_with(
+            StreamKernel::Gaussian => try_gaussian_blur_kernel(
                 &src,
                 &mut reference,
                 &paper_gaussian_kernel(),
-                config.engine,
-                &mut scratch,
+                Engine::Scalar,
             ),
-            StreamKernel::Edge => try_fused_edge_detect_with(
-                &src,
-                &mut reference,
-                config.thresh,
-                config.engine,
-                &mut scratch,
-            ),
+            StreamKernel::Edge => {
+                try_edge_detect(&src, &mut reference, config.thresh, Engine::Scalar)
+            }
         }
         .expect("serial reference run");
         frame_checksum(&reference)

@@ -210,6 +210,8 @@ fn repro_stats_reports_all_three_layers() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
+    // The pooled passes run on the global pool at the host's width.
+    assert!(text.contains("pool width "));
     // Pipeline, pool, and harness layers all show up in one report.
     assert!(text.contains("pipeline.bands"));
     assert!(text.contains("pool.steals"));
