@@ -45,17 +45,20 @@ use crate::scratch::{with_worker_workspace, BandWorkspace, Scratch, WorkspaceSpe
 use crate::sobel::{h_diff_row, h_smooth_row, v_diff_row, v_smooth_row, SobelDirection};
 use crate::threshold::{threshold_row, ThresholdType};
 use pixelimage::Image;
-use rayon::prelude::*;
 
 // ---------------------------------------------------------------------------
 // Band planning
 // ---------------------------------------------------------------------------
 
-/// How to slice an image into horizontal bands for fused processing.
+/// How to slice an image into horizontal bands for fused processing, and
+/// how many pool workers the parallel entry points spread them over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandPlan {
     /// Rows per band (the last band may be shorter).
     pub band_rows: usize,
+    /// Pool workers a `try_par_fused_*` call may use; `<= 1` runs the
+    /// bands inline on the calling thread.
+    pub threads: usize,
 }
 
 impl BandPlan {
@@ -88,12 +91,16 @@ impl BandPlan {
     /// working set is `k` rows regardless of band size; it bounds the
     /// *width* at which the ring stays L1-resident, which the planner
     /// reports via [`BandPlan::ring_fits_l1`].
+    ///
+    /// `threads` is the host's parallelism
+    /// ([`rayon::current_num_threads`]).
     pub fn for_cache(width: usize, l1d_bytes: usize, l2_bytes: usize) -> BandPlan {
         let _ = l1d_bytes; // see ring_fits_l1: L1 constrains width, not rows
         let bytes_per_row = width.max(1) * 3;
         let rows = (l2_bytes / 2) / bytes_per_row;
         BandPlan {
             band_rows: rows.clamp(8, 512),
+            threads: rayon::current_num_threads(),
         }
     }
 
@@ -414,7 +421,7 @@ fn edge_op(
     engine: Engine,
 ) -> KernelResult {
     let stride = dst.stride();
-    let spec = WorkspaceSpec::edge(src.width());
+    let spec = WorkspaceSpec::edge(src.width(), engine);
     let spans = ["fused.edge", "par_fused.edge"];
     drive(exec, spans, src, dst, spec, None, move |b, d, ws| {
         edge_band(src, d, stride, b.y0, b.y1, thresh, engine, ws)
@@ -556,18 +563,19 @@ fn band_items<'a, T: simd_vector::align::Pod>(
     items
 }
 
-/// Runs the bands on the persistent worker pool. Bands are scheduled
-/// dynamically (chunked, stealable tasks), so any worker may process any
-/// band; each takes its workspace from its own thread-local arena, which
-/// is warm after the worker's first band of this shape — steady-state
-/// parallel calls perform no worker-side heap allocations.
-fn run_bands<T, F>(items: Vec<BandItem<'_, T>>, spec: WorkspaceSpec, work: F)
+/// Runs the bands on up to `threads` workers of the persistent pool.
+/// Bands are scheduled dynamically (chunked, stealable tasks), so any
+/// worker may process any band; each takes its workspace from its own
+/// thread-local arena, which is warm after the worker's first band of
+/// this shape — steady-state parallel calls perform no worker-side heap
+/// allocations.
+fn run_bands<T, F>(items: Vec<BandItem<'_, T>>, threads: usize, spec: WorkspaceSpec, work: F)
 where
     T: simd_vector::align::Pod + Send,
     F: Fn(&BandItem<'_, T>, &mut [T], &mut BandWorkspace) + Send + Sync,
 {
     let work_ref = &work;
-    items.into_par_iter().for_each(move |mut item| {
+    rayon::for_each(items, threads, move |mut item| {
         let _span = obs::span("pool.band");
         with_worker_workspace(spec, |ws| {
             let dst = std::mem::take(&mut item.dst);
@@ -581,8 +589,8 @@ enum Exec<'a> {
     /// One band covering the whole image, on the calling thread, with a
     /// workspace from the caller's arena.
     Serial(&'a mut Scratch),
-    /// The plan's bands on the persistent worker pool, each with a
-    /// workspace from its worker's thread-local arena.
+    /// The plan's bands on `plan.threads` workers of the persistent pool,
+    /// each with a workspace from its worker's thread-local arena.
     Pool(&'a BandPlan),
 }
 
@@ -644,7 +652,7 @@ where
         }
         Exec::Pool(plan) => {
             let items = band_items(dst, plan);
-            catching_injected(|| run_bands(items, spec, band))
+            catching_injected(|| run_bands(items, plan.threads, spec, band))
         }
     }
 }
@@ -676,7 +684,10 @@ mod tests {
     #[test]
     fn band_ranges_cover_image_exactly() {
         for height in [1usize, 7, 8, 9, 100, 511, 512, 513] {
-            let plan = BandPlan { band_rows: 64 };
+            let plan = BandPlan {
+                band_rows: 64,
+                threads: 1,
+            };
             let mut covered = 0;
             let mut prev_end = 0;
             for (y0, y1) in plan.bands(height) {
@@ -735,7 +746,11 @@ mod tests {
         // band_rows = 3 forces many bands and much halo recomputation;
         // results must not change.
         let src = synthetic_image(61, 47, 109);
-        let (plan, kernel) = (BandPlan { band_rows: 3 }, paper_gaussian_kernel());
+        let plan = BandPlan {
+            band_rows: 3,
+            threads: 4,
+        };
+        let kernel = paper_gaussian_kernel();
 
         let mut expect_u8 = Image::new(61, 47);
         try_gaussian_blur_kernel(&src, &mut expect_u8, &kernel, Engine::Native).unwrap();
@@ -761,13 +776,18 @@ mod tests {
         let src = synthetic_image(320, 200, 113);
         let mut dst = Image::new(320, 200);
         let mut scratch = Scratch::new();
-        let plan = BandPlan { band_rows: 50 };
+        let plan = BandPlan {
+            band_rows: 50,
+            threads: 1,
+        };
         let kernel = paper_gaussian_kernel();
 
         // Cold runs populate the arenas: the caller arena for the
         // sequential path, the worker thread-local arenas for the
-        // parallel path (inline on this thread at width 1).
-        try_par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Native, &plan).unwrap();
+        // parallel path (inline on this thread at width 1). The parallel
+        // edge runs Autovec, whose band uses the rings; the Native band
+        // needs no workspace.
+        try_par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Autovec, &plan).unwrap();
         try_fused_gaussian_blur_with(&src, &mut dst, &kernel, Engine::Native, &mut scratch)
             .unwrap();
         let warm = scratch.fresh_allocs();
@@ -775,7 +795,7 @@ mod tests {
 
         // Warm runs must not touch the allocator through either arena.
         for _ in 0..3 {
-            try_par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Native, &plan).unwrap();
+            try_par_fused_edge_detect_with(&src, &mut dst, 96, Engine::Autovec, &plan).unwrap();
             try_fused_gaussian_blur_with(&src, &mut dst, &kernel, Engine::Native, &mut scratch)
                 .unwrap();
         }

@@ -11,6 +11,7 @@
 //! [`Scratch::fresh_allocs`], which counts every buffer the pool had to
 //! grow. Tests assert the counter stays flat on warm runs.
 
+use crate::dispatch::Engine;
 use simd_vector::align::AlignedBuf;
 
 /// Largest kernel length (taps) the fused pipeline supports without
@@ -27,8 +28,9 @@ pub const MAX_TAPS: usize = 31;
 ///   rows.
 /// * Sobel: the first 3 rows of `ring_a` hold the `[-1,0,1]` or `[1,2,1]`
 ///   horizontal results.
-/// * Edge: `ring_a` (h-diff) and `ring_b` (h-smooth) both cycle 3 rows;
-///   `row_gx`/`row_gy`/`row_u8` hold the per-row gradient and magnitude.
+/// * Edge, on every engine but Native: `ring_a` (h-diff) and `ring_b`
+///   (h-smooth) both cycle 3 rows; `row_gx`/`row_gy`/`row_u8` hold the
+///   per-row gradient and magnitude.
 ///
 /// Buffers are allocated at least as large as requested and sliced to the
 /// image width at the point of use, so a workspace warmed on one image is
@@ -109,14 +111,18 @@ impl WorkspaceSpec {
         }
     }
 
-    /// Spec for the fused edge-detection chain.
-    pub fn edge(width: usize) -> Self {
+    /// Spec for the fused edge-detection chain on `engine`. The
+    /// [`Engine::Native`] band reads its three source rows directly and
+    /// needs no workspace, so its spec is empty; every other engine
+    /// needs two 3-row rings and the per-row temps.
+    pub fn edge(width: usize, engine: Engine) -> Self {
+        let ringed = engine != Engine::Native;
         WorkspaceSpec {
             width,
             u16_rows: 0,
-            a_rows: 3,
-            b_rows: 3,
-            row_temps: true,
+            a_rows: if ringed { 3 } else { 0 },
+            b_rows: if ringed { 3 } else { 0 },
+            row_temps: ringed,
         }
     }
 }
@@ -439,9 +445,9 @@ pub fn worker_arena_outstanding_bytes() -> usize {
     WORKER_SCRATCH.with(|cell| cell.borrow().outstanding_bytes())
 }
 
-/// Pre-warms the worker arenas of **every live pool worker** (and the
+/// Pre-warms the worker arenas of **every spawned pool worker** (and the
 /// calling thread) for the given workspace shapes, so a subsequent
-/// parallel band loop at the current thread width performs no worker-side
+/// parallel band loop on those workers performs no worker-side
 /// allocations even on its first call. Used by benchmarks and the
 /// allocator-level zero-alloc tests to make warmth deterministic — with
 /// dynamic scheduling there is otherwise no guarantee which worker first
@@ -463,7 +469,7 @@ mod tests {
 
     #[test]
     fn worker_workspace_is_warm_after_first_use() {
-        let spec = WorkspaceSpec::edge(320);
+        let spec = WorkspaceSpec::edge(320, Engine::Autovec);
         with_worker_workspace(spec, |ws| {
             assert!(ws.ring_a.len() >= 3 && ws.row_u8.len() >= 320);
         });
@@ -477,7 +483,7 @@ mod tests {
     #[test]
     fn cold_checkout_allocates_warm_checkout_does_not() {
         let mut scratch = Scratch::new();
-        let spec = WorkspaceSpec::edge(640);
+        let spec = WorkspaceSpec::edge(640, Engine::Autovec);
         let ws = scratch.checkout(spec);
         let cold = scratch.fresh_allocs();
         assert!(cold >= 9, "edge spec needs 3+3 ring rows and 3 row temps");
@@ -546,7 +552,7 @@ mod tests {
     #[test]
     fn guarded_checkout_returns_workspace_on_unwind() {
         let mut scratch = Scratch::new();
-        let spec = WorkspaceSpec::edge(256);
+        let spec = WorkspaceSpec::edge(256, Engine::Autovec);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut co = scratch.try_checkout_guarded(spec).unwrap();
             assert!(co.ws().ring_a.len() >= 3);

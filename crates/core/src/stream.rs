@@ -433,7 +433,7 @@ impl StreamEngine {
         let kernel = paper_gaussian_kernel();
         let spec = match config.kernel {
             StreamKernel::Gaussian => WorkspaceSpec::gaussian(config.width, kernel.len()),
-            StreamKernel::Edge => WorkspaceSpec::edge(config.width),
+            StreamKernel::Edge => WorkspaceSpec::edge(config.width, config.engine),
         };
         let slots: Vec<Mutex<Slot>> = (0..config.slots)
             .map(|_| {

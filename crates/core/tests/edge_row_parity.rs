@@ -117,7 +117,10 @@ fn one_pass_rows_and_fused_kernels_match_two_pass_scalar() {
                     assert!(got.pixels_eq(&want), "fused {at}");
 
                     for band_rows in [1, 2, 3] {
-                        let plan = BandPlan { band_rows };
+                        let plan = BandPlan {
+                            band_rows,
+                            threads: rayon::current_num_threads(),
+                        };
                         let mut got = Image::new(w, h);
                         try_par_fused_edge_detect_with(
                             &src,

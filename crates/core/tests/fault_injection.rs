@@ -93,41 +93,40 @@ fn injected_faults_surface_cleanly_and_leak_nothing() {
     // --- Injected band panic: parallel pipeline ------------------------
     // Worker-side panics cross the pool latch as the original payload,
     // so the try_* wrapper still classifies them; every worker's
-    // thread-local arena must end with nothing outstanding.
-    let wide = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool build");
-    wide.install(|| {
-        faultline::arm("pipeline.band", faultline::Action::Panic, 1.0, 4242);
-        let plan = BandPlan { band_rows: 8 };
-        let mut par_dst = Image::<u8>::new(96, 64);
-        assert_eq!(
-            try_par_fused_edge_detect_with(&src, &mut par_dst, 96, Engine::Native, &plan),
-            Err(KernelError::FaultInjected {
-                failpoint: "pipeline.band".into()
-            })
-        );
-        faultline::disarm("pipeline.band");
-        // Sweep every pool worker's arena ledger.
-        let leaked = AtomicUsize::new(0);
-        rayon::broadcast(|_| {
-            leaked.fetch_add(scratch::worker_arena_outstanding_bytes(), Ordering::Relaxed);
-        });
-        assert_eq!(
-            leaked.load(Ordering::Relaxed),
-            0,
-            "a worker arena leaked workspace bytes after injected band panics"
-        );
-        // Disarmed, the parallel pipeline recovers to bit-exactness.
-        let mut expect = Image::<u8>::new(96, 64);
-        simdbench_core::edge::try_edge_detect(&src, &mut expect, 96, Engine::Native).unwrap();
-        assert_eq!(
-            try_par_fused_edge_detect_with(&src, &mut par_dst, 96, Engine::Native, &plan),
-            Ok(())
-        );
-        assert!(par_dst.pixels_eq(&expect));
+    // thread-local arena must end with nothing outstanding. The edge runs
+    // Autovec, whose band checks out two rings and the row temps; the
+    // Native band needs no workspace, so it could leak nothing.
+    faultline::arm("pipeline.band", faultline::Action::Panic, 1.0, 4242);
+    let plan = BandPlan {
+        band_rows: 8,
+        threads: 4,
+    };
+    let mut par_dst = Image::<u8>::new(96, 64);
+    assert_eq!(
+        try_par_fused_edge_detect_with(&src, &mut par_dst, 96, Engine::Autovec, &plan),
+        Err(KernelError::FaultInjected {
+            failpoint: "pipeline.band".into()
+        })
+    );
+    faultline::disarm("pipeline.band");
+    // Sweep every pool worker's arena ledger.
+    let leaked = AtomicUsize::new(0);
+    rayon::broadcast(|_| {
+        leaked.fetch_add(scratch::worker_arena_outstanding_bytes(), Ordering::Relaxed);
     });
+    assert_eq!(
+        leaked.load(Ordering::Relaxed),
+        0,
+        "a worker arena leaked workspace bytes after injected band panics"
+    );
+    // Disarmed, the parallel pipeline recovers to bit-exactness.
+    let mut expect = Image::<u8>::new(96, 64);
+    simdbench_core::edge::try_edge_detect(&src, &mut expect, 96, Engine::Native).unwrap();
+    assert_eq!(
+        try_par_fused_edge_detect_with(&src, &mut par_dst, 96, Engine::Autovec, &plan),
+        Ok(())
+    );
+    assert!(par_dst.pixels_eq(&expect));
 
     // A real validation failure is reported as itself, never as an
     // injected fault, and a genuine panic raised on it is not classified

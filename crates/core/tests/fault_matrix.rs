@@ -174,7 +174,10 @@ fn non_q8_kernels_are_rejected_everywhere() {
         try_fused_gaussian_blur_with(&src, &mut dst, &bad, Engine::Native, &mut scratch),
         Err(KernelError::BadKernel { sum: 9 })
     );
-    let plan = BandPlan { band_rows: 4 };
+    let plan = BandPlan {
+        band_rows: 4,
+        threads: rayon::current_num_threads(),
+    };
     assert_eq!(
         try_par_fused_gaussian_blur_with(&src, &mut dst, &bad, Engine::Native, &plan),
         Err(KernelError::BadKernel { sum: 9 })
@@ -218,13 +221,21 @@ fn capped_scratch_surfaces_arena_exhausted_from_the_fused_pipeline() {
         ),
         Err(KernelError::ArenaExhausted { .. })
     ));
+    // The edge chain needs its rings on every engine but Native.
     assert!(matches!(
-        try_fused_edge_detect_with(&src, &mut dst_u8, 96, Engine::Native, &mut scratch),
+        try_fused_edge_detect_with(&src, &mut dst_u8, 96, Engine::Autovec, &mut scratch),
         Err(KernelError::ArenaExhausted { .. })
     ));
     // Nothing was allocated and nothing is outstanding after rejections.
     assert_eq!(scratch.live_bytes(), 0);
     assert_eq!(scratch.outstanding(), 0);
+    // The one-pass Native edge band needs no workspace, so the same
+    // capped arena serves it without growing.
+    assert_eq!(
+        try_fused_edge_detect_with(&src, &mut dst_u8, 96, Engine::Native, &mut scratch),
+        Ok(())
+    );
+    assert_eq!(scratch.live_bytes(), 0);
 
     // Lifting the cap lets the identical call succeed.
     scratch.set_cap_bytes(None);
@@ -239,7 +250,11 @@ fn capped_scratch_surfaces_arena_exhausted_from_the_fused_pipeline() {
 /// `src` into fresh `w`x`h` destinations and asserts each returns `want`.
 fn assert_all_six_entry_points(src: &Image<u8>, w: usize, h: usize, want: KernelResult) {
     let (engine, dir, kernel) = (Engine::Native, SobelDirection::X, paper_gaussian_kernel());
-    let (plan, mut scratch) = (BandPlan { band_rows: 4 }, Scratch::new());
+    let plan = BandPlan {
+        band_rows: 4,
+        threads: rayon::current_num_threads(),
+    };
+    let mut scratch = Scratch::new();
     let (mut d8, mut d16) = (Image::<u8>::new(w, h), Image::<i16>::new(w, h));
     let got = [
         try_fused_gaussian_blur_with(src, &mut d8, &kernel, engine, &mut scratch),

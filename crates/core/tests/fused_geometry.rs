@@ -122,42 +122,39 @@ fn ragged_band_tails_are_bit_exact() {
     let (w, h) = (41, 29);
     let src = synthetic_image(w, h, 151);
     let kernel = paper_gaussian_kernel();
-    // A 4-wide install forces the persistent pool to actually schedule
-    // bands across workers (instead of the width-1 inline path on
-    // single-core hosts), so seam priming is validated under stealing.
-    let wide = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    wide.install(|| {
-        for band_rows in [1usize, 2, 3, 5, 7, 13, 28, 29, 64] {
-            let plan = BandPlan { band_rows };
+    // 4 threads force the persistent pool to actually schedule bands
+    // across workers (instead of the width-1 inline path on single-core
+    // hosts), so seam priming is validated under stealing.
+    for band_rows in [1usize, 2, 3, 5, 7, 13, 28, 29, 64] {
+        let plan = BandPlan {
+            band_rows,
+            threads: 4,
+        };
 
-            let mut expect_u8 = Image::new(w, h);
-            try_gaussian_blur_kernel(&src, &mut expect_u8, &kernel, Engine::Native).unwrap();
-            let mut got_u8 = Image::new(w, h);
-            try_par_fused_gaussian_blur_with(&src, &mut got_u8, &kernel, Engine::Native, &plan)
-                .unwrap();
-            assert!(
-                got_u8.pixels_eq(&expect_u8),
-                "gaussian band_rows={band_rows}"
-            );
+        let mut expect_u8 = Image::new(w, h);
+        try_gaussian_blur_kernel(&src, &mut expect_u8, &kernel, Engine::Native).unwrap();
+        let mut got_u8 = Image::new(w, h);
+        try_par_fused_gaussian_blur_with(&src, &mut got_u8, &kernel, Engine::Native, &plan)
+            .unwrap();
+        assert!(
+            got_u8.pixels_eq(&expect_u8),
+            "gaussian band_rows={band_rows}"
+        );
 
-            let mut expect_i16 = Image::new(w, h);
-            try_sobel(&src, &mut expect_i16, SobelDirection::X, Engine::Native).unwrap();
-            let mut got_i16 = Image::new(w, h);
-            try_par_fused_sobel_with(&src, &mut got_i16, SobelDirection::X, Engine::Native, &plan)
-                .unwrap();
-            assert!(
-                got_i16.pixels_eq(&expect_i16),
-                "sobel band_rows={band_rows}"
-            );
+        let mut expect_i16 = Image::new(w, h);
+        try_sobel(&src, &mut expect_i16, SobelDirection::X, Engine::Native).unwrap();
+        let mut got_i16 = Image::new(w, h);
+        try_par_fused_sobel_with(&src, &mut got_i16, SobelDirection::X, Engine::Native, &plan)
+            .unwrap();
+        assert!(
+            got_i16.pixels_eq(&expect_i16),
+            "sobel band_rows={band_rows}"
+        );
 
-            try_edge_detect(&src, &mut expect_u8, 80, Engine::Native).unwrap();
-            try_par_fused_edge_detect_with(&src, &mut got_u8, 80, Engine::Native, &plan).unwrap();
-            assert!(got_u8.pixels_eq(&expect_u8), "edge band_rows={band_rows}");
-        }
-    });
+        try_edge_detect(&src, &mut expect_u8, 80, Engine::Native).unwrap();
+        try_par_fused_edge_detect_with(&src, &mut got_u8, 80, Engine::Native, &plan).unwrap();
+        assert!(got_u8.pixels_eq(&expect_u8), "edge band_rows={band_rows}");
+    }
 }
 
 #[test]

@@ -125,41 +125,40 @@ fn warm_fused_calls_do_not_allocate() {
     }
 
     // --- Parallel path: no worker-side allocations at steady state. ---
-    // A 4-wide install forces the real pool scheduler even on single-core
-    // hosts; band_rows = 8 yields several bands per call so tasks are
-    // actually split and stolen.
-    let wide = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool build");
-    wide.install(|| {
-        rayon::broadcast(|_| IS_WORKER.with(|c| c.set(true)));
-        let (plan, native) = (BandPlan { band_rows: 8 }, Engine::Native);
-        warm_worker_arenas(&[
-            WorkspaceSpec::gaussian(w, kernel.len()),
-            WorkspaceSpec::sobel(w),
-            WorkspaceSpec::edge(w),
-        ]);
+    // 4 threads force the real pool scheduler even on single-core hosts;
+    // band_rows = 8 yields several bands per call so tasks are actually
+    // split and stolen. One 4-wide call first spawns the workers that
+    // `broadcast` then marks.
+    let native = Engine::Native;
+    let plan = BandPlan {
+        band_rows: 8,
+        threads: 4,
+    };
+    try_par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, native, &plan).unwrap();
+    rayon::broadcast(|_| IS_WORKER.with(|c| c.set(true)));
+    warm_worker_arenas(&[
+        WorkspaceSpec::gaussian(w, kernel.len()),
+        WorkspaceSpec::sobel(w),
+        WorkspaceSpec::edge(w, native),
+    ]);
 
-        // Cold parallel passes grow the scheduler's deques and any
-        // remaining lazy state to their steady-state footprint.
-        for _ in 0..3 {
+    // Cold parallel passes grow the scheduler's deques and any
+    // remaining lazy state to their steady-state footprint.
+    for _ in 0..3 {
+        try_par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, native, &plan).unwrap();
+        try_par_fused_sobel_with(&src, &mut dst_i16, X, native, &plan).unwrap();
+        try_par_fused_edge_detect_with(&src, &mut dst_u8, 96, native, &plan).unwrap();
+    }
+
+    let n = count_worker_allocs(|| {
+        for _ in 0..5 {
             try_par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, native, &plan).unwrap();
             try_par_fused_sobel_with(&src, &mut dst_i16, X, native, &plan).unwrap();
             try_par_fused_edge_detect_with(&src, &mut dst_u8, 96, native, &plan).unwrap();
         }
-
-        let n = count_worker_allocs(|| {
-            for _ in 0..5 {
-                try_par_fused_gaussian_blur_with(&src, &mut dst_u8, &kernel, native, &plan)
-                    .unwrap();
-                try_par_fused_sobel_with(&src, &mut dst_i16, X, native, &plan).unwrap();
-                try_par_fused_edge_detect_with(&src, &mut dst_u8, 96, native, &plan).unwrap();
-            }
-        });
-        assert_eq!(
-            n, 0,
-            "steady-state par_fused calls allocated {n} times on pool workers"
-        );
     });
+    assert_eq!(
+        n, 0,
+        "steady-state par_fused calls allocated {n} times on pool workers"
+    );
 }

@@ -8,7 +8,11 @@
 //!    the slot ring),
 //! 3. an injected **worker death mid-stream** does not lose frames: the
 //!    pool self-heals and every frame completes bit-exact against the
-//!    serial fused kernel.
+//!    serial fused kernel,
+//! 4. while the pool's **circuit breaker is open** every frame runs
+//!    degraded (serially, still bit-exact) and admission is capped at
+//!    half the queue; once the breaker closes frames run on the pool
+//!    again.
 //!
 //! This is one test function (not several) because faultline state is
 //! process-global and the libtest harness runs sibling tests on other
@@ -19,8 +23,11 @@ use std::time::{Duration, Instant};
 
 use pixelimage::{synthetic_image, Image};
 use simdbench_core::dispatch::Engine;
+use simdbench_core::error::KernelError;
 use simdbench_core::kernelgen::paper_gaussian_kernel;
-use simdbench_core::pipeline::try_fused_gaussian_blur_with;
+use simdbench_core::pipeline::{
+    try_fused_gaussian_blur_with, try_par_fused_gaussian_blur_with, BandPlan,
+};
 use simdbench_core::scratch::Scratch;
 use simdbench_core::stream::{
     frame_checksum, summarize, FrameStatus, StreamConfig, StreamEngine, StreamError,
@@ -184,5 +191,91 @@ fn overload_sheds_cleanly_and_worker_death_loses_nothing() {
     assert!(
         live_workers_after_wait(complement) >= complement,
         "pool complement not restored after injected worker deaths"
+    );
+
+    // --- 4. Open breaker: degraded frames, halved admission cap. ------
+    // Three consecutive failed pool jobs open the breaker; nothing the
+    // stream does afterwards runs a pool job, so it stays open until
+    // reset.
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // injected panics by design
+    let plan = BandPlan {
+        band_rows: 8,
+        threads: 4,
+    };
+    let kernel = paper_gaussian_kernel();
+    faultline::arm("pool.task", faultline::Action::Panic, 1.0, 9005);
+    for round in 0..3 {
+        let mut dst = Image::new(w, h);
+        assert_eq!(
+            try_par_fused_gaussian_blur_with(&src, &mut dst, &kernel, Engine::Native, &plan),
+            Err(KernelError::FaultInjected {
+                failpoint: "pool.task".into()
+            }),
+            "round {round}: an injected task panic must fail the job"
+        );
+    }
+    faultline::disarm_all();
+    std::panic::set_hook(prev_hook);
+    assert!(
+        rayon::circuit_breaker_open(),
+        "three failed pool jobs must open the breaker"
+    );
+
+    let queue_cap = 4;
+    let mut cfg = config(w, h);
+    cfg.queue_cap = queue_cap;
+    let engine = StreamEngine::new(cfg).expect("engine");
+    for id in 0..4u64 {
+        submit_closed_loop(&engine, id, &src);
+    }
+    engine.wait_idle();
+    // Slow every frame down so the queue fills: the first refusal must
+    // come at half the configured depth.
+    faultline::arm("stream.frame", faultline::Action::Delay(50), 1.0, 9006);
+    let refused_at = (4..64u64).find_map(|id| match engine.submit(id, Arc::clone(&src)) {
+        Ok(()) => None,
+        Err(StreamError::Saturated { cap, .. }) => Some(cap),
+        Err(e) => panic!("unexpected rejection for frame {id}: {e}"),
+    });
+    engine.wait_idle();
+    faultline::disarm_all();
+    assert_eq!(
+        refused_at,
+        Some((queue_cap / 2).max(1)),
+        "an open breaker must halve the admission cap"
+    );
+    assert!(rayon::circuit_breaker_open());
+    let outcomes = engine.finish();
+    assert!(outcomes.len() > 4, "delayed frames were admitted");
+    for o in &outcomes {
+        match &o.status {
+            FrameStatus::Completed { checksum } => {
+                assert_eq!(*checksum, want, "degraded frame {} not bit-exact", o.id)
+            }
+            other => panic!("degraded frame {} did not complete: {other:?}", o.id),
+        }
+        assert!(
+            o.degraded,
+            "frame {} not degraded with the breaker open",
+            o.id
+        );
+    }
+    assert_eq!(summarize(&outcomes).degraded, outcomes.len());
+
+    // Closed again, frames go back to the pool.
+    rayon::reset_circuit_breaker();
+    let engine = StreamEngine::new(config(w, h)).expect("engine");
+    submit_closed_loop(&engine, 0, &src);
+    engine.wait_idle();
+    let outcomes = engine.finish();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(
+        outcomes[0].status,
+        FrameStatus::Completed { checksum: want }
+    );
+    assert!(
+        !outcomes[0].degraded,
+        "closed breaker still degraded a frame"
     );
 }

@@ -154,7 +154,10 @@ fn halo_rows_count_only_ring_recomputation() {
     let _flag = TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner);
     let src = synthetic_suite(Resolution::Vga, 1).remove(0);
     let mut dst = Image::<u8>::new(src.width(), src.height());
-    let plan = BandPlan { band_rows: 48 };
+    let plan = BandPlan {
+        band_rows: 48,
+        threads: rayon::current_num_threads(),
+    };
     let bands = plan.num_bands(src.height()) as u64;
     let halo_rows = |engine: Engine, dst: &mut Image<u8>| {
         obs::reset();

@@ -435,14 +435,13 @@ fn chaos_mode(args: &[String]) {
     let engine = host_hand_engine();
     let kernel = paper_gaussian_kernel();
     let src = pixelimage::synthetic_image(w, h, seed);
-    // Small bands so the parallel arm schedules many tasks through the
-    // real pool (a cache-sized plan would fit the whole test frame in
-    // one band and bypass the scheduler entirely).
-    let plan = BandPlan { band_rows: 8 };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool build");
+    // Small bands on 4 workers so the parallel arm schedules many tasks
+    // through the real pool (a cache-sized plan would fit the whole test
+    // frame in one band and bypass the scheduler entirely).
+    let plan = BandPlan {
+        band_rows: 8,
+        threads: 4,
+    };
     // Injected panics are expected by the thousand; silence the default
     // hook's backtrace spam for the duration (restored before exit).
     let prev_hook = std::panic::take_hook();
@@ -457,11 +456,9 @@ fn chaos_mode(args: &[String]) {
     simdbench_core::edge::try_edge_detect(&src, &mut edge_ref, 96, engine)
         .expect("disarmed edge reference");
     let mut par_dst = Image::<u8>::new(w, h);
-    pool.install(|| {
-        try_par_fused_edge_detect_with(&src, &mut par_dst, 96, engine, &plan)
-            .expect("disarmed warm-up run");
-    });
-    let complement = live_workers_after_wait(pool.current_num_threads());
+    try_par_fused_edge_detect_with(&src, &mut par_dst, 96, engine, &plan)
+        .expect("disarmed warm-up run");
+    let complement = live_workers_after_wait(plan.threads);
 
     let mut violations: Vec<String> = Vec::new();
     println!(
@@ -507,11 +504,9 @@ fn chaos_mode(args: &[String]) {
 
             // Parallel arm: banded fused edge over the worker pool.
             let mut dst = Image::<u8>::new(w, h);
-            let outcome = pool.install(|| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan)
-                }))
-            });
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan)
+            }));
             match outcome {
                 Ok(Ok(())) => {
                     par_ok += 1;
@@ -552,10 +547,8 @@ fn chaos_mode(args: &[String]) {
     // Invariant: no pool worker's thread-local arena holds an
     // un-returned workspace after the whole matrix.
     let leaked = AtomicUsize::new(0);
-    pool.install(|| {
-        rayon::broadcast(|_| {
-            leaked.fetch_add(scratch::worker_arena_outstanding_bytes(), Ordering::Relaxed);
-        });
+    rayon::broadcast(|_| {
+        leaked.fetch_add(scratch::worker_arena_outstanding_bytes(), Ordering::Relaxed);
     });
     if leaked.load(Ordering::Relaxed) != 0 {
         violations.push(format!(
@@ -577,11 +570,9 @@ fn chaos_mode(args: &[String]) {
     let mut breaker_attempts = 0;
     while !rayon::circuit_breaker_open() && breaker_attempts < 8 {
         let mut dst = Image::<u8>::new(w, h);
-        let _ = pool.install(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan)
-            }))
-        });
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan)
+        }));
         breaker_attempts += 1;
     }
     faultline::disarm_all();
@@ -590,8 +581,7 @@ fn chaos_mode(args: &[String]) {
     }
     let degraded_before = obs::snapshot().counter(obs::Counter::PoolDegradedRuns);
     let mut dst = Image::<u8>::new(w, h);
-    let degraded_result =
-        pool.install(|| try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan));
+    let degraded_result = try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan);
     let degraded_after = obs::snapshot().counter(obs::Counter::PoolDegradedRuns);
     if degraded_result != Ok(()) || !dst.pixels_eq(&edge_ref) {
         violations.push("degraded serial run failed or was not bit-exact".into());
@@ -602,7 +592,7 @@ fn chaos_mode(args: &[String]) {
     let mut close_attempts = 0;
     while rayon::circuit_breaker_open() && close_attempts < 32 {
         let mut dst = Image::<u8>::new(w, h);
-        let _ = pool.install(|| try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan));
+        let _ = try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan);
         close_attempts += 1;
     }
     if rayon::circuit_breaker_open() {

@@ -1,19 +1,19 @@
-//! Offline stand-in for the `rayon` crate, built on a **persistent
-//! work-stealing thread pool**.
+//! The workspace's own scheduler: a **persistent work-stealing thread
+//! pool** that runs the fused pipeline's bands ([`for_each`]), the stream
+//! engine's frames ([`spawn`]) and per-worker setup ([`broadcast`]).
 //!
-//! Implements the subset this workspace uses — `Vec::into_par_iter()` /
-//! `Range::into_par_iter()` with `.enumerate()` and `.for_each()`, plus
-//! `ThreadPoolBuilder`/`ThreadPool::install`, `current_num_threads`,
-//! `broadcast` and detached [`spawn`] — over a single process-wide
-//! worker pool.
+//! It is not a stand-in for the `rayon` crate and implements none of its
+//! iterator or pool-handle API. The package keeps the name `rayon` only
+//! because the benchmark crate pins it as a path dependency under that
+//! name.
 //!
 //! # Scheduler architecture
 //!
 //! * **Workers are spawned once.** The pool structure is created behind a
 //!   `OnceLock` on first use; worker threads are spawned lazily as jobs
 //!   request width, each thread exactly once, and then live for the rest
-//!   of the process parked on a condvar when idle. A `par_*` call costs a
-//!   few queue pushes and one condvar round-trip — not `t` OS thread
+//!   of the process parked on a condvar when idle. A [`for_each`] call
+//!   costs a few queue pushes and one condvar round-trip — not `t` OS thread
 //!   spawns and joins, which at small images used to be the same order of
 //!   cost as the kernel itself.
 //! * **Per-worker deques with stealing.** Every worker owns a
@@ -31,16 +31,15 @@
 //!   one-chunk-per-thread partition.
 //! * **Scope-style join latch.** The submitting thread parks on a
 //!   per-job latch until the job's outstanding-task count drops to zero,
-//!   so worker closures may borrow the submitter's stack (the `rows_mut`
-//!   slices flow through unchanged). Worker panics are caught, carried to
+//!   so worker closures may borrow the submitter's stack (the band
+//!   destination slices flow through unchanged). Worker panics are caught, carried to
 //!   the latch, and re-raised on the submitting thread.
-//! * **`install` scopes a width without respawning.** A [`ThreadPool`] is
-//!   only a configured width: `install` sets a thread-local override that
-//!   governs how many workers a job seeds and admits (task eligibility is
-//!   `worker_index < job_width`), while the workers themselves are the
-//!   same process-wide threads.
+//! * **Width per call, without respawning.** The `threads` argument of
+//!   [`for_each`] governs how many workers that one job seeds and admits
+//!   (task eligibility is `worker_index < job_width`), while the workers
+//!   themselves are the same process-wide threads.
 //!
-//! Nested parallel calls issued from inside a worker run inline
+//! Nested [`for_each`] calls issued from inside a worker run inline
 //! sequentially (a worker never blocks on another job), which is also the
 //! behaviour with width 1: bit-exactness is index-based, not
 //! schedule-based, so inline and pooled execution are indistinguishable
@@ -85,34 +84,25 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`].
-    static INSTALLED_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
     /// Index of the pool worker running on this thread, if any.
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn host_parallelism() -> usize {
+/// The host's parallelism: the default width callers pass to
+/// [`for_each`], and the worker count [`broadcast`] and [`spawn`] ensure.
+pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Number of worker threads parallel iterators will use on this thread.
-pub fn current_num_threads() -> usize {
-    INSTALLED_THREADS.with(|t| match t.get() {
-        Some(n) => n,
-        None => host_parallelism(),
-    })
-}
-
 /// Index of the pool worker executing the current code, or `None` when
-/// called from outside the pool (extension over rayon's API; the pool
-/// uses it to run nested parallel calls inline).
+/// called from outside the pool (the pool uses it to run nested calls
+/// inline).
 pub fn worker_index() -> Option<usize> {
     WORKER_INDEX.with(|w| w.get())
 }
@@ -235,8 +225,8 @@ struct JobShared {
     /// Outstanding tasks (queued or executing).
     pending: AtomicUsize,
     /// Worker admission: only workers with `index < width` may run tasks
-    /// of this job. This is what makes `install(t)` an effective width on
-    /// a pool with more live workers than `t`.
+    /// of this job. This is what makes a call's `threads` an effective
+    /// width on a pool with more live workers than that.
     width: usize,
     /// Ranges at most this long execute directly; longer ones split.
     grain: usize,
@@ -268,13 +258,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Returns the pool, creating the (threadless) structure on first call.
 ///
 /// The slot count is fixed at creation: twice the host parallelism, floor
-/// eight, so `install` widths beyond the core count still schedule
+/// eight, so `threads` values beyond the core count still schedule
 /// through the real pool (oversubscription is how the scheduler tests
 /// exercise stealing on small CI hosts).
 fn pool() -> &'static Pool {
     static POOL: OnceLock<&'static Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let slots = (host_parallelism() * 2).max(8);
+        let slots = (current_num_threads() * 2).max(8);
         Box::leak(Box::new(Pool {
             queues: (0..slots).map(|_| Mutex::new(VecDeque::new())).collect(),
             spawned: Mutex::new(0),
@@ -295,7 +285,7 @@ impl Pool {
         while *spawned < n {
             let index = *spawned;
             std::thread::Builder::new()
-                .name(format!("rayon-shim-worker-{index}"))
+                .name(format!("pool-worker-{index}"))
                 .spawn(move || self.worker_entry(index))
                 .expect("failed to spawn pool worker");
             *spawned += 1;
@@ -492,7 +482,7 @@ impl Pool {
                     // empty; queued tasks remain stealable and the job
                     // watchdog covers the pathological all-dead case.
                     let _ = std::thread::Builder::new()
-                        .name(format!("rayon-shim-worker-{index}"))
+                        .name(format!("pool-worker-{index}"))
                         .spawn(move || pool.worker_entry(index));
                 }
             }
@@ -615,29 +605,11 @@ fn run_job(len: usize, width: usize, leaf: &(dyn Fn(usize, usize) + Sync)) {
     }
 }
 
-/// Runs `leaf(start, end)` over sub-ranges of `0..len`, in parallel when
-/// the effective width allows, inline otherwise (width 1, trivial length,
-/// or nested inside a worker).
-fn drive_range(len: usize, leaf: &(dyn Fn(usize, usize) + Sync)) {
-    if len == 0 {
-        return;
-    }
-    let width = current_num_threads();
-    if width <= 1 || len == 1 || worker_index().is_some() {
-        if worker_index().is_some() {
-            obs::add(obs::Counter::PoolInlineNested, 1);
-        }
-        leaf(0, len);
-        return;
-    }
-    run_job(len, width, leaf);
-}
-
-/// Runs `f(worker_index)` exactly once on every live pool worker and
-/// blocks until all have finished (rayon's `broadcast`, with the context
-/// reduced to the index). Spawns workers up to the current effective
-/// width first, so a following `par_*` call finds them warm. Called from
-/// inside the pool it degenerates to `f(own_index)`.
+/// Runs `f(worker_index)` exactly once on every spawned pool worker and
+/// blocks until all have finished. Spawns workers up to the host's
+/// parallelism first, so a following host-wide [`for_each`] finds them
+/// warm; workers a wider call spawned earlier are reached too. Called
+/// from inside the pool it degenerates to `f(own_index)`.
 pub fn broadcast<F>(f: F)
 where
     F: Fn(usize) + Send + Sync,
@@ -696,7 +668,7 @@ where
 static SPAWN_CURSOR: AtomicUsize = AtomicUsize::new(0);
 
 /// Submits a detached closure to the persistent pool and returns
-/// immediately (rayon's `spawn`): the closure runs once on whichever
+/// immediately: the closure runs once on whichever
 /// worker pops or steals it, and **no thread ever blocks on it** — not
 /// the submitter (there is no latch) and no pool worker (the closure is
 /// ordinary queue work, stealable like any task). This is the
@@ -730,108 +702,6 @@ where
     pool.push(target, Task::Once(Box::new(f)));
 }
 
-// ---------------------------------------------------------------------------
-// Public rayon-compatible surface
-// ---------------------------------------------------------------------------
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// Creates a builder with default (host) parallelism.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the worker-thread count (0 = host parallelism, as rayon).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = if n == 0 { None } else { Some(n) };
-        self
-    }
-
-    /// Builds the pool handle. Worker threads for the requested width are
-    /// spawned now (each at most once, process-wide) so the first
-    /// `install`ed parallel call runs at full width; repeated builds
-    /// never respawn anything. `Result` mirrors rayon's API.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = self.num_threads.unwrap_or_else(host_parallelism);
-        if threads > 1 {
-            pool().ensure_workers(threads);
-        }
-        Ok(ThreadPool { threads })
-    }
-}
-
-/// Error type mirroring rayon's (never produced by this shim).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// A configured degree of parallelism over the process-wide persistent
-/// pool. `install` scopes this width over the closure — jobs submitted
-/// inside seed and admit at most `threads` workers — without spawning or
-/// parking anything.
-#[derive(Debug)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `f` with this pool's thread count governing parallel
-    /// iterators. Nested installs are scoped: the innermost width wins
-    /// and the previous width is restored on exit.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        INSTALLED_THREADS.with(|t| {
-            let prev = t.replace(Some(self.threads));
-            let out = f();
-            t.set(prev);
-            out
-        })
-    }
-
-    /// The configured thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-}
-
-/// Types convertible into a parallel iterator.
-pub trait IntoParallelIterator {
-    /// Element type.
-    type Item: Send;
-    /// Concrete iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Converts into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-/// The parallel-iterator operations this workspace uses.
-pub trait ParallelIterator: Sized {
-    /// Element type.
-    type Item: Send;
-
-    /// Consumes the iterator, applying `f` to every element in parallel.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Send + Sync;
-
-    /// Pairs every element with its index (indices are assigned in the
-    /// original order, independent of the execution schedule).
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { inner: self }
-    }
-}
-
 /// Raw-pointer wrapper so leaf closures can address a shared buffer whose
 /// disjoint elements they own by index.
 struct SendPtr<T>(*mut T);
@@ -841,199 +711,74 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Parallel iterator over an owned `Vec`.
-pub struct VecParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> VecParIter<T> {
-    /// Runs `f(index, item)` over all items.
-    ///
-    /// The buffer is consumed in place: leaves move elements out of the
-    /// single allocation by index (`ptr::read` over disjoint sub-ranges),
-    /// so no per-chunk `Vec`s are ever created. If a leaf panics, the
-    /// unread elements of that leaf's range leak (they are never
-    /// double-dropped); the panic then propagates to the caller.
-    fn drive<F>(self, f: F)
-    where
-        F: Fn(usize, T) + Send + Sync,
-    {
-        let mut items = self.items;
-        let len = items.len();
-        if len == 0 {
-            return;
+/// Runs `f` once on every element of `items`, over up to `threads` pool
+/// workers, and returns when all have run. This is the pool's one
+/// latched parallel job: the fused pipeline hands it one item per band.
+///
+/// It runs inline on the calling thread, in order, when `threads <= 1`,
+/// when there is only one item, or when called from a pool worker
+/// (nesting never blocks a worker). Otherwise the buffer is consumed in
+/// place: leaves move elements out of the single allocation by index
+/// (`ptr::read` over disjoint sub-ranges), so no per-chunk `Vec`s are
+/// ever created. If a leaf panics, the unread elements of that leaf's
+/// range leak (they are never double-dropped); the panic then propagates
+/// to the caller.
+pub fn for_each<T: Send>(mut items: Vec<T>, threads: usize, f: impl Fn(T) + Send + Sync) {
+    let len = items.len();
+    if len == 0 {
+        return;
+    }
+    if threads <= 1 || len == 1 || worker_index().is_some() {
+        if worker_index().is_some() {
+            obs::add(obs::Counter::PoolInlineNested, 1);
         }
-        let width = current_num_threads();
-        if width <= 1 || len == 1 || worker_index().is_some() {
-            if worker_index().is_some() {
-                obs::add(obs::Counter::PoolInlineNested, 1);
-            }
-            for (i, item) in items.into_iter().enumerate() {
-                f(i, item);
-            }
-            return;
+        items.into_iter().for_each(f);
+        return;
+    }
+    let base = SendPtr(items.as_mut_ptr());
+    // SAFETY: ownership of the elements transfers to the job; the
+    // vector is left empty so it frees only its capacity afterwards.
+    unsafe { items.set_len(0) };
+    let base = &base;
+    run_job(len, threads, &move |s: usize, e: usize| {
+        for i in s..e {
+            // SAFETY: leaves cover disjoint sub-ranges of 0..len,
+            // each exactly once; `base` outlives the job latch.
+            f(unsafe { std::ptr::read(base.0.add(i)) });
         }
-        let base = SendPtr(items.as_mut_ptr());
-        // SAFETY: ownership of the elements transfers to the job; the
-        // vector is left empty so it frees only its capacity afterwards.
-        unsafe { items.set_len(0) };
-        let base = &base;
-        run_job(len, width, &move |s: usize, e: usize| {
-            for i in s..e {
-                // SAFETY: leaves cover disjoint sub-ranges of 0..len,
-                // each exactly once; `base` outlives the job latch.
-                let item = unsafe { std::ptr::read(base.0.add(i)) };
-                f(i, item);
-            }
-        });
-    }
-}
-
-impl<T: Send> ParallelIterator for VecParIter<T> {
-    type Item = T;
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(T) + Send + Sync,
-    {
-        self.drive(move |_, item| f(item));
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecParIter<T>;
-
-    fn into_par_iter(self) -> VecParIter<T> {
-        VecParIter { items: self }
-    }
-}
-
-/// Parallel iterator over `Range<usize>`.
-pub struct RangeParIter {
-    range: Range<usize>,
-}
-
-impl ParallelIterator for RangeParIter {
-    type Item = usize;
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        // Indices are computed from the sub-range bounds — no
-        // materialised index buffer, no allocation at all.
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        drive_range(len, &|s: usize, e: usize| {
-            for i in s..e {
-                f(start + i);
-            }
-        });
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    type Iter = RangeParIter;
-
-    fn into_par_iter(self) -> RangeParIter {
-        RangeParIter { range: self }
-    }
-}
-
-/// Index-pairing adapter returned by [`ParallelIterator::enumerate`].
-pub struct Enumerate<I> {
-    inner: I,
-}
-
-impl<T: Send> ParallelIterator for Enumerate<VecParIter<T>> {
-    type Item = (usize, T);
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, T)) + Send + Sync,
-    {
-        self.inner.drive(move |i, item| f((i, item)));
-    }
-}
-
-impl ParallelIterator for Enumerate<RangeParIter> {
-    type Item = (usize, usize);
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, usize)) + Send + Sync,
-    {
-        let start = self.inner.range.start;
-        let len = self.inner.range.end.saturating_sub(start);
-        drive_range(len, &|s: usize, e: usize| {
-            for i in s..e {
-                f((i, start + i));
-            }
-        });
-    }
-}
-
-/// Glob-import module mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelIterator};
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::for_each;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
-    /// A pool wide enough to schedule off the main thread even on a
+    /// Wide enough to schedule off the calling thread even on a
     /// single-core CI host.
-    fn wide_pool() -> super::ThreadPool {
-        super::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-    }
+    const WIDE: usize = 4;
 
     #[test]
     fn for_each_visits_every_item_once() {
         let hits = AtomicUsize::new(0);
         let items: Vec<usize> = (0..1000).collect();
-        items.into_par_iter().for_each(|_| {
+        for_each(items, WIDE, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 1000);
     }
 
     #[test]
-    fn enumerate_indices_match_original_order() {
-        let items: Vec<u32> = (0..500).map(|i| i * 3).collect();
-        let sum = AtomicUsize::new(0);
-        wide_pool().install(|| {
-            items
-                .clone()
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(i, v)| {
-                    assert_eq!(v, items[i]);
-                    sum.fetch_add(1, Ordering::Relaxed);
-                });
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
     fn mutable_slices_are_written_in_parallel() {
         let mut data = [0u8; 64];
-        let rows: Vec<&mut [u8]> = data.chunks_mut(8).collect();
-        wide_pool().install(|| {
-            rows.into_par_iter().enumerate().for_each(|(i, row)| {
-                for b in row.iter_mut() {
-                    *b = i as u8;
-                }
-            });
+        let rows: Vec<(usize, &mut [u8])> = data.chunks_mut(8).enumerate().collect();
+        for_each(rows, WIDE, |(i, row)| {
+            for b in row.iter_mut() {
+                *b = i as u8;
+            }
         });
         for (i, chunk) in data.chunks(8).enumerate() {
             assert!(chunk.iter().all(|&b| b == i as u8));
@@ -1044,84 +789,18 @@ mod tests {
     fn owned_values_are_consumed_exactly_once() {
         let items: Vec<String> = (0..300).map(|i| format!("item-{i}")).collect();
         let seen = Mutex::new(HashSet::new());
-        wide_pool().install(|| {
-            items.into_par_iter().for_each(|s| {
-                assert!(seen.lock().unwrap().insert(s), "duplicate delivery");
-            });
+        for_each(items, WIDE, |s| {
+            assert!(seen.lock().unwrap().insert(s), "duplicate delivery");
         });
         assert_eq!(seen.lock().unwrap().len(), 300);
     }
 
     #[test]
-    fn pool_install_overrides_thread_count() {
-        let pool = super::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            assert_eq!(super::current_num_threads(), 2);
+    fn single_thread_calls_run_inline_on_the_caller() {
+        let tid = std::thread::current().id();
+        for_each((0..10).collect(), 1, |_: usize| {
+            assert_eq!(std::thread::current().id(), tid);
         });
-        let pool1 = super::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        pool1.install(|| {
-            // Single-threaded path runs inline.
-            let items: Vec<usize> = (0..10).collect();
-            let tid = std::thread::current().id();
-            items.into_par_iter().for_each(|_| {
-                assert_eq!(std::thread::current().id(), tid);
-            });
-        });
-    }
-
-    #[test]
-    fn nested_install_restores_outer_width() {
-        let outer = super::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let inner = super::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        outer.install(|| {
-            assert_eq!(super::current_num_threads(), 2);
-            inner.install(|| assert_eq!(super::current_num_threads(), 4));
-            assert_eq!(super::current_num_threads(), 2);
-        });
-        // Outside any install the host default is back in force.
-        assert_eq!(
-            super::current_num_threads(),
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        );
-    }
-
-    #[test]
-    fn range_par_iter_covers_range() {
-        let hits = AtomicUsize::new(0);
-        wide_pool().install(|| {
-            (5..105usize).into_par_iter().for_each(|v| {
-                assert!((5..105).contains(&v));
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn range_enumerate_pairs_offset_with_value() {
-        let sum = AtomicUsize::new(0);
-        wide_pool().install(|| {
-            (10..74usize)
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(i, v)| {
-                    assert_eq!(v, i + 10);
-                    sum.fetch_add(1, Ordering::Relaxed);
-                });
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 64);
     }
 
     /// The thread-id sets observed by parallel work and by `broadcast`
@@ -1129,18 +808,15 @@ mod tests {
     /// respawned per call.
     #[test]
     fn pool_spawns_workers_once_across_repeated_calls() {
-        let pool = wide_pool();
         let collect_round = || {
             let ids: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-            pool.install(|| {
-                for _ in 0..20 {
-                    (0..128usize).into_par_iter().for_each(|_| {
-                        ids.lock().unwrap().insert(std::thread::current().id());
-                    });
-                }
-                super::broadcast(|_| {
+            for _ in 0..20 {
+                for_each((0..128).collect(), WIDE, |_: usize| {
                     ids.lock().unwrap().insert(std::thread::current().id());
                 });
+            }
+            super::broadcast(|_| {
+                ids.lock().unwrap().insert(std::thread::current().id());
             });
             ids.into_inner().unwrap()
         };
@@ -1161,15 +837,14 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_worker_exactly_once() {
-        let pool = wide_pool();
+        // One 4-wide call spawns the four workers broadcast must reach.
+        for_each(vec![(); WIDE], WIDE, |()| ());
         let indices: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        pool.install(|| {
-            super::broadcast(|i| indices.lock().unwrap().push(i));
-        });
+        super::broadcast(|i| indices.lock().unwrap().push(i));
         let mut indices = indices.into_inner().unwrap();
         indices.sort_unstable();
-        // At least the four ensured workers; each index exactly once.
-        assert!(indices.len() >= 4);
+        // At least the four spawned workers; each index exactly once.
+        assert!(indices.len() >= WIDE);
         let unique: HashSet<_> = indices.iter().collect();
         assert_eq!(unique.len(), indices.len(), "worker ran broadcast twice");
     }
@@ -1177,11 +852,9 @@ mod tests {
     #[test]
     fn nested_parallel_calls_run_inline_without_deadlock() {
         let hits = AtomicUsize::new(0);
-        wide_pool().install(|| {
-            (0..8usize).into_par_iter().for_each(|_| {
-                (0..16usize).into_par_iter().for_each(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
+        for_each((0..8).collect(), WIDE, |_: usize| {
+            for_each((0..16).collect(), WIDE, |_: usize| {
+                hits.fetch_add(1, Ordering::Relaxed);
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 128);
@@ -1190,49 +863,43 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom at 37")]
     fn worker_panic_propagates_to_the_caller() {
-        wide_pool().install(|| {
-            (0..64usize).into_par_iter().for_each(|i| {
-                if i == 37 {
-                    panic!("boom at 37");
-                }
-            });
+        for_each((0..64).collect(), WIDE, |i: usize| {
+            if i == 37 {
+                panic!("boom at 37");
+            }
         });
     }
 
     /// Scheduler stress: thousands of small jobs, including concurrent
-    /// submitters, ragged lengths and zero-length ranges. Exercises
-    /// seeding, splitting, stealing, parking and the latch under churn;
-    /// wired into `scripts/ci.sh` so regressions fail fast.
+    /// submitters at different widths, ragged lengths and empty item
+    /// lists. Exercises seeding, splitting, stealing, parking and the
+    /// latch under churn; wired into `scripts/ci.sh` so regressions fail
+    /// fast.
     #[test]
     fn pool_stress_many_small_calls() {
-        let pool = wide_pool();
-        pool.install(|| {
-            for n in 0..400usize {
-                let hits = AtomicUsize::new(0);
-                (0..n % 23).into_par_iter().for_each(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(hits.load(Ordering::Relaxed), n % 23);
-            }
-        });
-        // Concurrent submitters from plain OS threads, each with its own
-        // installed width.
+        for n in 0..400usize {
+            let hits = AtomicUsize::new(0);
+            for_each((0..n % 23).collect(), WIDE, |_: usize| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), n % 23);
+        }
+        // Concurrent submitters from plain OS threads, each at its own
+        // width. A job's width is its own: no item may run on a worker
+        // at or beyond it, whatever the other submitters ask for.
         std::thread::scope(|s| {
-            for t in 1..=4usize {
+            for t in 1..=WIDE {
                 s.spawn(move || {
-                    let p = super::ThreadPoolBuilder::new()
-                        .num_threads(t)
-                        .build()
-                        .unwrap();
-                    p.install(|| {
-                        for n in [1usize, 2, 3, 7, 64, 129] {
-                            let sum = AtomicUsize::new(0);
-                            (0..n).into_par_iter().for_each(|i| {
-                                sum.fetch_add(i + 1, Ordering::Relaxed);
-                            });
-                            assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
-                        }
-                    });
+                    for n in [1usize, 2, 3, 7, 64, 129] {
+                        let sum = AtomicUsize::new(0);
+                        for_each((0..n).collect(), t, |i: usize| {
+                            if let Some(w) = super::worker_index() {
+                                assert!(w < t, "width-{t} job ran on worker {w}");
+                            }
+                            sum.fetch_add(i + 1, Ordering::Relaxed);
+                        });
+                        assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
+                    }
                 });
             }
         });

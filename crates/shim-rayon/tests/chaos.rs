@@ -7,23 +7,25 @@
 //! breaker, the watchdog and `obs` are all process-global and the
 //! integration binary shares one worker pool.
 
-use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// One parallel sum over `0..n`; returns whether the job panicked and
-/// the accumulated total (correct iff every index ran exactly once).
-fn par_sum(pool: &rayon::ThreadPool, n: usize) -> (bool, usize) {
+/// Width of every job in this suite: wide enough to schedule through the
+/// pool even on a single-core CI host.
+const THREADS: usize = 4;
+
+/// One `THREADS`-wide parallel sum over `0..n`; returns whether the job
+/// panicked and the accumulated total (correct iff every index ran
+/// exactly once).
+fn par_sum(n: usize) -> (bool, usize) {
     let sum = AtomicUsize::new(0);
-    let panicked = pool.install(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            (0..n).into_par_iter().for_each(|i| {
-                sum.fetch_add(i + 1, Ordering::Relaxed);
-            });
-        }))
-        .is_err()
-    });
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        rayon::for_each((0..n).collect(), THREADS, |i: usize| {
+            sum.fetch_add(i + 1, Ordering::Relaxed);
+        });
+    }))
+    .is_err();
     (panicked, sum.load(Ordering::Relaxed))
 }
 
@@ -54,20 +56,15 @@ fn pool_self_heals_under_injected_faults() {
     obs::set_enabled(true);
     obs::reset();
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool build");
-
     // Warm-up: spawn the workers and establish the healthy complement. A
     // worker counts itself live only once its thread has started, so wait
     // for the census to reach the pool width before taking the snapshot.
-    let (panicked, sum) = par_sum(&pool, 503);
+    let (panicked, sum) = par_sum(503);
     assert!(!panicked);
     assert_eq!(sum, expected_sum(503));
-    wait_for_live_workers(pool.current_num_threads());
+    wait_for_live_workers(THREADS);
     let complement = rayon::pool_live_workers();
-    assert!(complement >= 4, "complement = {complement}");
+    assert!(complement >= THREADS, "complement = {complement}");
 
     // --- Phase 1: worker death and respawn -----------------------------
     // Every executed task kills its worker *after* settling the latch:
@@ -75,7 +72,7 @@ fn pool_self_heals_under_injected_faults() {
     // guard must restore the full complement once disarmed.
     faultline::arm("pool.worker", faultline::Action::Panic, 1.0, 0xD1E);
     for _ in 0..3 {
-        let (panicked, sum) = par_sum(&pool, 257);
+        let (panicked, sum) = par_sum(257);
         assert!(!panicked, "worker death must not surface as a job panic");
         assert_eq!(sum, expected_sum(257), "worker death lost work");
     }
@@ -94,7 +91,7 @@ fn pool_self_heals_under_injected_faults() {
     // --- Phase 2: task panics open the breaker; degraded serial runs ---
     faultline::arm("pool.task", faultline::Action::Panic, 1.0, 0xBAD);
     for round in 0..3 {
-        let (panicked, _) = par_sum(&pool, 257);
+        let (panicked, _) = par_sum(257);
         assert!(panicked, "round {round}: injected task panic must surface");
     }
     faultline::disarm("pool.task");
@@ -105,7 +102,7 @@ fn pool_self_heals_under_injected_faults() {
     // Open breaker: the cooldown window serves serial in-caller runs
     // that are degraded but correct.
     let degraded_before = obs::snapshot().counter(obs::Counter::PoolDegradedRuns);
-    let (panicked, sum) = par_sum(&pool, 257);
+    let (panicked, sum) = par_sum(257);
     assert!(!panicked);
     assert_eq!(
         sum,
@@ -121,7 +118,7 @@ fn pool_self_heals_under_injected_faults() {
     // Exhaust the cooldown; the next job is the half-open parallel
     // probe, and its success closes the breaker.
     for _ in 0..16 {
-        let (panicked, sum) = par_sum(&pool, 101);
+        let (panicked, sum) = par_sum(101);
         assert!(!panicked);
         assert_eq!(sum, expected_sum(101));
         if !rayon::circuit_breaker_open() {
@@ -140,7 +137,7 @@ fn pool_self_heals_under_injected_faults() {
     // correctly.
     faultline::arm("pool.task", faultline::Action::Delay(30), 1.0, 0x51_0e);
     rayon::set_job_watchdog(Some(Duration::from_millis(5)));
-    let (panicked, sum) = par_sum(&pool, 256);
+    let (panicked, sum) = par_sum(256);
     assert!(!panicked);
     assert_eq!(
         sum,

@@ -5,7 +5,6 @@
 //! This is one test function (not several) because `obs` state is
 //! process-global and integration tests run on a shared thread pool.
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
@@ -17,20 +16,14 @@ fn pool_counter_aggregation_matches_serial_reference() {
     const ITEMS: usize = 503; // odd, so chunk splits are uneven
     let reference = AtomicU64::new(0);
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool build");
-    pool.install(|| {
-        for _ in 0..JOBS {
-            (0..ITEMS).into_par_iter().for_each(|i| {
-                obs::add(obs::Counter::PipelineBands, 1);
-                obs::add(obs::Counter::PipelineHaloRows, i as u64);
-                obs::record(obs::HistId::PipelineBandNanos, (i as u64) + 1);
-                reference.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
+    for _ in 0..JOBS {
+        rayon::for_each((0..ITEMS).collect(), 4, |i: usize| {
+            obs::add(obs::Counter::PipelineBands, 1);
+            obs::add(obs::Counter::PipelineHaloRows, i as u64);
+            obs::record(obs::HistId::PipelineBandNanos, (i as u64) + 1);
+            reference.fetch_add(1, Ordering::Relaxed);
+        });
+    }
 
     let snap = obs::snapshot();
     let expected = (JOBS * ITEMS) as u64;
@@ -50,7 +43,7 @@ fn pool_counter_aggregation_matches_serial_reference() {
     assert_eq!(hist.min, 1);
     assert_eq!(hist.max, ITEMS as u64);
 
-    // The scheduler's own counters: each into_par_iter run is one job.
+    // The scheduler's own counters: each for_each call is one job.
     assert_eq!(snap.counter(obs::Counter::PoolJobs), JOBS as u64);
     assert!(snap.counter(obs::Counter::PoolTasks) >= JOBS as u64);
     // Work ran on more than the submitting thread.

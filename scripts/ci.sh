@@ -17,6 +17,11 @@
 # perfbench stage runs the benchmark's self-tests, which call the
 # pipeline, pool and stream surfaces the benchmark measures, so a drift
 # between those surfaces and the benchmark fails CI.
+#
+# Every stage but `perf` must leave the working tree as it found it:
+# reports go under target/ci/, and a stage that changes `git status`
+# (or the content of an already modified file) fails the run. `perf` is
+# exempt, because writing results/bench_host.json is its job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,9 +67,12 @@ stage_repeat() {
 stage_stream_smoke() {
   # Asserts zero shed frames, zero steady-state arena growth, and
   # bit-exact output at the smoke rate; exits nonzero on violation.
-  # Both stream kernels run, so each one's output is checked.
-  cargo run -q --release -p repro-harness --bin repro -- stream --quick
-  cargo run -q --release -p repro-harness --bin repro -- stream --quick --kernel edge
+  # Both stream kernels run, so each one's output is checked. The reports
+  # go to target/ci/, not over the tracked results/stream.json.
+  cargo run -q --release -p repro-harness --bin repro -- stream --quick \
+    --json target/ci/stream_gaussian.json
+  cargo run -q --release -p repro-harness --bin repro -- stream --quick --kernel edge \
+    --json target/ci/stream_edge.json
 }
 
 stage_telemetry() {
@@ -101,6 +109,14 @@ stage_perf() {
   python3 scripts_check_bench.py results/bench_host.json BENCH_host.json
 }
 
+# The working tree's state: `git status` plus a digest of the tracked
+# diff, so rewriting an already modified file counts as a change too.
+# Constant outside a git checkout.
+tree_state() {
+  git status --porcelain 2>/dev/null || true
+  git diff --no-ext-diff 2>/dev/null | cksum
+}
+
 run_stage() {
   local name="$1"
   local fn="stage_${name//-/_}"
@@ -109,14 +125,20 @@ run_stage() {
     exit 2
   fi
   echo "==> [$name]"
+  local before
+  before=$(tree_state)
   local t0=$SECONDS
   "$fn"
   local dt=$((SECONDS - t0))
   TIMING_REPORT+="$(printf '%-16s %4ds' "$name" "$dt")"$'\n'
   echo "--- [$name] ${dt}s"
+  if [[ "$name" != perf && "$(tree_state)" != "$before" ]]; then
+    DIRTY_STAGES+=("$name")
+  fi
 }
 
 TIMING_REPORT=""
+DIRTY_STAGES=()
 
 if [[ "${1:-}" == "--stage" ]]; then
   run_stage "${2:?--stage needs a name}"
@@ -132,4 +154,9 @@ fi
 echo
 echo "stage wall times:"
 printf '%s' "$TIMING_REPORT"
+if ((${#DIRTY_STAGES[@]})); then
+  git status --short >&2 || true
+  echo "stages changed the working tree: ${DIRTY_STAGES[*]}" >&2
+  exit 1
+fi
 echo "CI OK"
