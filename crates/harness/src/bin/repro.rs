@@ -379,6 +379,7 @@ fn chaos_mode(args: &[String]) {
         try_fused_gaussian_blur_with, try_par_fused_edge_detect_with, BandPlan,
     };
     use simdbench_core::scratch::{self, Scratch};
+    use simdbench_core::Engine;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -433,6 +434,11 @@ fn chaos_mode(args: &[String]) {
     obs::reset();
 
     let engine = host_hand_engine();
+    // The parallel arm runs the edge on Autovec, whose bands check out
+    // their rings from each worker's arena, so the arena-return
+    // invariant below has something to leak. (The Native edge band reads
+    // its source rows directly and checks out an empty workspace.)
+    let par_engine = Engine::Autovec;
     let kernel = paper_gaussian_kernel();
     let src = pixelimage::synthetic_image(w, h, seed);
     // Small bands on 4 workers so the parallel arm schedules many tasks
@@ -453,10 +459,10 @@ fn chaos_mode(args: &[String]) {
     simdbench_core::gaussian::try_gaussian_blur_kernel(&src, &mut gauss_ref, &kernel, engine)
         .expect("disarmed Gaussian reference");
     let mut edge_ref = Image::<u8>::new(w, h);
-    simdbench_core::edge::try_edge_detect(&src, &mut edge_ref, 96, engine)
+    simdbench_core::edge::try_edge_detect(&src, &mut edge_ref, 96, Engine::Scalar)
         .expect("disarmed edge reference");
     let mut par_dst = Image::<u8>::new(w, h);
-    try_par_fused_edge_detect_with(&src, &mut par_dst, 96, engine, &plan)
+    try_par_fused_edge_detect_with(&src, &mut par_dst, 96, par_engine, &plan)
         .expect("disarmed warm-up run");
     let complement = live_workers_after_wait(plan.threads);
 
@@ -505,7 +511,7 @@ fn chaos_mode(args: &[String]) {
             // Parallel arm: banded fused edge over the worker pool.
             let mut dst = Image::<u8>::new(w, h);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan)
+                try_par_fused_edge_detect_with(&src, &mut dst, 96, par_engine, &plan)
             }));
             match outcome {
                 Ok(Ok(())) => {
@@ -523,6 +529,22 @@ fn chaos_mode(args: &[String]) {
         }
         faultline::disarm_all();
         rayon::set_job_watchdog(None);
+
+        // Invariant: no pool worker's thread-local arena holds an
+        // un-returned workspace after the cell. Swept per cell, because a
+        // later `pool.worker` cell kills workers and frees their arenas,
+        // leaks included.
+        live_workers_after_wait(complement);
+        let leaked = AtomicUsize::new(0);
+        rayon::broadcast(|_| {
+            leaked.fetch_add(scratch::worker_arena_outstanding_bytes(), Ordering::Relaxed);
+        });
+        if leaked.load(Ordering::Relaxed) != 0 {
+            violations.push(format!(
+                "{label}: {} scratch bytes outstanding across worker arenas",
+                leaked.load(Ordering::Relaxed)
+            ));
+        }
         println!(
             "{:<16} {:<9} {:>5}  {:>6} {:>9}  {:>6} {:>9}",
             cell.failpoint,
@@ -544,19 +566,6 @@ fn chaos_mode(args: &[String]) {
         ));
     }
 
-    // Invariant: no pool worker's thread-local arena holds an
-    // un-returned workspace after the whole matrix.
-    let leaked = AtomicUsize::new(0);
-    rayon::broadcast(|_| {
-        leaked.fetch_add(scratch::worker_arena_outstanding_bytes(), Ordering::Relaxed);
-    });
-    if leaked.load(Ordering::Relaxed) != 0 {
-        violations.push(format!(
-            "{} scratch bytes outstanding across worker arenas",
-            leaked.load(Ordering::Relaxed)
-        ));
-    }
-
     // Circuit-breaker demonstration: open it with injected task panics,
     // prove a degraded serial run completes bit-exactly, then close it
     // through the half-open probe.
@@ -571,7 +580,7 @@ fn chaos_mode(args: &[String]) {
     while !rayon::circuit_breaker_open() && breaker_attempts < 8 {
         let mut dst = Image::<u8>::new(w, h);
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan)
+            try_par_fused_edge_detect_with(&src, &mut dst, 96, par_engine, &plan)
         }));
         breaker_attempts += 1;
     }
@@ -581,7 +590,7 @@ fn chaos_mode(args: &[String]) {
     }
     let degraded_before = obs::snapshot().counter(obs::Counter::PoolDegradedRuns);
     let mut dst = Image::<u8>::new(w, h);
-    let degraded_result = try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan);
+    let degraded_result = try_par_fused_edge_detect_with(&src, &mut dst, 96, par_engine, &plan);
     let degraded_after = obs::snapshot().counter(obs::Counter::PoolDegradedRuns);
     if degraded_result != Ok(()) || !dst.pixels_eq(&edge_ref) {
         violations.push("degraded serial run failed or was not bit-exact".into());
@@ -592,7 +601,7 @@ fn chaos_mode(args: &[String]) {
     let mut close_attempts = 0;
     while rayon::circuit_breaker_open() && close_attempts < 32 {
         let mut dst = Image::<u8>::new(w, h);
-        let _ = try_par_fused_edge_detect_with(&src, &mut dst, 96, engine, &plan);
+        let _ = try_par_fused_edge_detect_with(&src, &mut dst, 96, par_engine, &plan);
         close_attempts += 1;
     }
     if rayon::circuit_breaker_open() {

@@ -114,7 +114,7 @@ stage_perf() {
 # Constant outside a git checkout.
 tree_state() {
   git status --porcelain 2>/dev/null || true
-  git diff --no-ext-diff 2>/dev/null | cksum
+  { git diff --no-ext-diff 2>/dev/null || true; } | cksum
 }
 
 run_stage() {
