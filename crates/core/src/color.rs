@@ -12,6 +12,7 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_frame, KernelError, KernelResult};
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
 
 /// Q15 fixed-point BT.601 luma weights (R, G, B), summing to 2^15.
@@ -67,7 +68,7 @@ pub fn bgr_row(b: &[u8], g: &[u8], r: &[u8], dst: &mut [u8], engine: Engine) {
     match engine {
         Engine::Scalar => bgr_row_scalar(b, g, r, dst),
         Engine::Autovec => bgr_row_autovec(b, g, r, dst),
-        Engine::Sse2Sim => bgr_row_sse2_sim(b, g, r, dst),
+        Engine::Sse2Sim => bgr_row_sse2::<Sim>(b, g, r, dst),
         Engine::NeonSim => bgr_row_neon_sim(b, g, r, dst),
         Engine::Native => bgr_row_native(b, g, r, dst),
     }
@@ -95,31 +96,38 @@ pub fn bgr_row_autovec(b: &[u8], g: &[u8], r: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// SSE2: widen bytes to u16, split the Q15 products with
-/// `pmullw`/`pmulhuw`, accumulate in u32, rounding shift, double pack.
-pub fn bgr_row_sse2_sim(b: &[u8], g: &[u8], r: &[u8], dst: &mut [u8]) {
-    use sse_sim::*;
+/// SSE2 over the [`Sse2`] surface: widen bytes to u16, split the Q15
+/// products with `pmullw`/`pmulhuw`, accumulate in u32, rounding shift,
+/// double pack.
+#[inline(always)]
+fn bgr_row_sse2<S: Sse2>(b: &[u8], g: &[u8], r: &[u8], dst: &mut [u8]) {
     assert_eq!(b.len(), dst.len());
+    assert!(g.len() >= dst.len() && r.len() >= dst.len());
     let w = dst.len();
-    let zero = _mm_setzero_si128();
-    let round = _mm_set1_epi32(ROUND as i32);
-    let wr = _mm_set1_epi16(WEIGHT_R as i16);
-    let wg = _mm_set1_epi16(WEIGHT_G as i16);
-    let wb = _mm_set1_epi16(WEIGHT_B as i16);
+    let zero = S::_mm_setzero_si128();
+    let round = S::_mm_set1_epi32(ROUND as i32);
+    let wr = S::_mm_set1_epi16(WEIGHT_R as i16);
+    let wg = S::_mm_set1_epi16(WEIGHT_G as i16);
+    let wb = S::_mm_set1_epi16(WEIGHT_B as i16);
     let mut x = 0;
     while x + 8 <= w {
         let mut acc_lo = round;
         let mut acc_hi = round;
         for (plane, weight) in [(r, wr), (g, wg), (b, wb)] {
-            let v = _mm_unpacklo_epi8(_mm_loadl_epi64(&plane[x..]), zero);
-            let lo16 = _mm_mullo_epi16(v, weight);
-            let hi16 = _mm_mulhi_epu16(v, weight);
-            acc_lo = _mm_add_epi32(acc_lo, _mm_unpacklo_epi16(lo16, hi16));
-            acc_hi = _mm_add_epi32(acc_hi, _mm_unpackhi_epi16(lo16, hi16));
+            // SAFETY: the 64-bit load reads plane[x..x+8]; x + 8 <= w and
+            // every plane has length >= w (asserted above).
+            let v = S::_mm_unpacklo_epi8(unsafe { S::_mm_loadl_epi64(plane, x) }, zero);
+            let lo16 = S::_mm_mullo_epi16(v, weight);
+            let hi16 = S::_mm_mulhi_epu16(v, weight);
+            acc_lo = S::_mm_add_epi32(acc_lo, S::_mm_unpacklo_epi16(lo16, hi16));
+            acc_hi = S::_mm_add_epi32(acc_hi, S::_mm_unpackhi_epi16(lo16, hi16));
         }
-        let packed16 = _mm_packs_epi32(_mm_srli_epi32::<15>(acc_lo), _mm_srli_epi32::<15>(acc_hi));
-        let packed8 = _mm_packus_epi16(packed16, packed16);
-        _mm_storel_epi64(&mut dst[x..], packed8);
+        let packed16 = S::_mm_packs_epi32(
+            S::_mm_srli_epi32::<15>(acc_lo),
+            S::_mm_srli_epi32::<15>(acc_hi),
+        );
+        // SAFETY: the store writes dst[x..x+8] and x + 8 <= w.
+        unsafe { S::_mm_storel_epi64(dst, x, S::_mm_packus_epi16(packed16, packed16)) };
         x += 8;
     }
     bgr_row_scalar(&b[x..], &g[x..], &r[x..], &mut dst[x..]);
@@ -152,49 +160,12 @@ pub fn bgr_row_neon_sim(b: &[u8], g: &[u8], r: &[u8], dst: &mut [u8]) {
 }
 
 /// Color conversion on the host's real SIMD unit.
+#[inline(never)] // own symbol, for the `asm` CI stage
 pub fn bgr_row_native(b: &[u8], g: &[u8], r: &[u8], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        assert_eq!(b.len(), dst.len());
-        assert!(g.len() >= dst.len() && r.len() >= dst.len());
-        let w = dst.len();
-        let mut x = 0;
-        // SAFETY: each 64-bit load reads plane[x..x+8]; the store writes
-        // dst[x..x+8]; x + 8 <= w throughout and all slices have length
-        // >= w (asserted above).
-        unsafe {
-            let zero = _mm_setzero_si128();
-            let round = _mm_set1_epi32(ROUND as i32);
-            let wr = _mm_set1_epi16(WEIGHT_R as i16);
-            let wg = _mm_set1_epi16(WEIGHT_G as i16);
-            let wb = _mm_set1_epi16(WEIGHT_B as i16);
-            while x + 8 <= w {
-                let mut acc_lo = round;
-                let mut acc_hi = round;
-                for (plane, weight) in [(r, wr), (g, wg), (b, wb)] {
-                    let v = _mm_unpacklo_epi8(
-                        _mm_loadl_epi64(plane.as_ptr().add(x) as *const __m128i),
-                        zero,
-                    );
-                    let lo16 = _mm_mullo_epi16(v, weight);
-                    let hi16 = _mm_mulhi_epu16(v, weight);
-                    acc_lo = _mm_add_epi32(acc_lo, _mm_unpacklo_epi16(lo16, hi16));
-                    acc_hi = _mm_add_epi32(acc_hi, _mm_unpackhi_epi16(lo16, hi16));
-                }
-                let packed16 =
-                    _mm_packs_epi32(_mm_srli_epi32::<15>(acc_lo), _mm_srli_epi32::<15>(acc_hi));
-                let packed8 = _mm_packus_epi16(packed16, packed16);
-                _mm_storel_epi64(dst.as_mut_ptr().add(x) as *mut __m128i, packed8);
-                x += 8;
-            }
-        }
-        bgr_row_scalar(&b[x..], &g[x..], &r[x..], &mut dst[x..]);
-    }
+    bgr_row_sse2::<crate::sse2::Arch>(b, g, r, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        bgr_row_autovec(b, g, r, dst);
-    }
+    bgr_row_autovec(b, g, r, dst);
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelResult};
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
 use simd_vector::rounding::saturate_f32_to_i16;
 
@@ -49,7 +50,7 @@ pub fn convert_row(src: &[f32], dst: &mut [i16], engine: Engine) {
     match engine {
         Engine::Scalar => convert_row_scalar(src, dst),
         Engine::Autovec => convert_row_autovec(src, dst),
-        Engine::Sse2Sim => convert_row_sse2_sim(src, dst),
+        Engine::Sse2Sim => convert_row_sse2::<Sim>(src, dst),
         Engine::NeonSim => convert_row_neon_sim(src, dst),
         Engine::Native => convert_row_native(src, dst),
     }
@@ -74,18 +75,24 @@ pub fn convert_row_autovec(src: &[f32], dst: &mut [i16]) {
     }
 }
 
-/// The paper's SSE2 listing, executed through the simulated surface.
-pub fn convert_row_sse2_sim(src: &[f32], dst: &mut [i16]) {
+/// The paper's SSE2 listing (`loadu_ps` → `cvtps_epi32` ×2 →
+/// `packs_epi32` → `storeu_si128`), written once over the [`Sse2`]
+/// surface: [`Engine::Sse2Sim`] runs it on [`Sim`], [`Engine::Native`] on
+/// `core::arch` (x86_64).
+#[inline(always)]
+fn convert_row_sse2<S: Sse2>(src: &[f32], dst: &mut [i16]) {
     assert_eq!(src.len(), dst.len());
     let width = src.len();
     let mut x = 0;
     while x + 8 <= width {
-        let src128 = sse_sim::_mm_loadu_ps(&src[x..]);
-        let src_int128 = sse_sim::_mm_cvtps_epi32(src128);
-        let src128 = sse_sim::_mm_loadu_ps(&src[x + 4..]);
-        let src1_int128 = sse_sim::_mm_cvtps_epi32(src128);
-        let packed = sse_sim::_mm_packs_epi32(src_int128, src1_int128);
-        sse_sim::_mm_storeu_si128(&mut dst[x..], packed);
+        // SAFETY: the loads read src[x..x+8] and the store writes
+        // dst[x..x+8]; x + 8 <= width bounds both slices, which have equal
+        // length.
+        unsafe {
+            let src_int128 = S::_mm_cvtps_epi32(S::_mm_loadu_ps(src, x));
+            let src1_int128 = S::_mm_cvtps_epi32(S::_mm_loadu_ps(src, x + 4));
+            S::_mm_storeu_si128(dst, x, S::_mm_packs_epi32(src_int128, src1_int128));
+        }
         x += 8;
     }
     convert_row_scalar(&src[x..], &mut dst[x..]);
@@ -112,43 +119,14 @@ pub fn convert_row_neon_sim(src: &[f32], dst: &mut [i16]) {
 }
 
 /// The hand-tuned loop on the host's real SIMD unit.
+#[inline(never)] // own symbol, for the `asm` CI stage
 pub fn convert_row_native(src: &[f32], dst: &mut [i16]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        convert_row_native_sse2(src, dst);
-    }
+    convert_row_sse2::<crate::sse2::Arch>(src, dst);
     #[cfg(target_arch = "aarch64")]
-    {
-        convert_row_native_neon(src, dst);
-    }
+    convert_row_native_neon(src, dst);
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        convert_row_autovec(src, dst);
-    }
-}
-
-/// Real-silicon SSE2 version of the paper's listing.
-#[cfg(target_arch = "x86_64")]
-fn convert_row_native_sse2(src: &[f32], dst: &mut [i16]) {
-    use std::arch::x86_64::*;
-    assert_eq!(src.len(), dst.len());
-    let width = src.len();
-    let mut x = 0;
-    // SAFETY: every load reads src[x..x+8] and every store writes
-    // dst[x..x+8]; the loop condition keeps x+8 <= width for both slices,
-    // which have equal length. SSE2 is part of the x86_64 baseline.
-    unsafe {
-        while x + 8 <= width {
-            let s0 = _mm_loadu_ps(src.as_ptr().add(x));
-            let i0 = _mm_cvtps_epi32(s0);
-            let s1 = _mm_loadu_ps(src.as_ptr().add(x + 4));
-            let i1 = _mm_cvtps_epi32(s1);
-            let packed = _mm_packs_epi32(i0, i1);
-            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, packed);
-            x += 8;
-        }
-    }
-    convert_row_scalar(&src[x..], &mut dst[x..]);
+    convert_row_autovec(src, dst);
 }
 
 /// Real-silicon NEON version of the paper's listing (ARMv8 hosts).
@@ -277,7 +255,7 @@ mod tests {
         // SSE2 needs two fewer intrinsics (single-step pack).
         let src: Vec<f32> = (0..80).map(|i| i as f32).collect();
         let mut dst = vec![0i16; 80];
-        let (_, mix) = op_trace::trace(|| convert_row_sse2_sim(&src, &mut dst));
+        let (_, mix) = op_trace::trace(|| convert_row_sse2::<Sim>(&src, &mut dst));
         assert_eq!(mix.simd_total(), 6 * (80 / 8));
     }
 }

@@ -8,6 +8,7 @@
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelResult};
 use crate::sobel::SobelDirection;
+use crate::sse2::{Sim, Sse2};
 use crate::threshold::{threshold_row, ThresholdType};
 use pixelimage::Image;
 
@@ -50,7 +51,7 @@ pub fn try_edge_detect(
 pub fn magnitude_row(gx: &[i16], gy: &[i16], dst: &mut [u8], engine: Engine) {
     match engine {
         Engine::Scalar | Engine::Autovec => magnitude_row_scalar(gx, gy, dst),
-        Engine::Sse2Sim => magnitude_row_sse2_sim(gx, gy, dst),
+        Engine::Sse2Sim => magnitude_row_sse2::<Sim>(gx, gy, dst),
         Engine::NeonSim => magnitude_row_neon_sim(gx, gy, dst),
         Engine::Native => magnitude_row_native(gx, gy, dst),
     }
@@ -66,23 +67,26 @@ pub fn magnitude_row_scalar(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
     }
 }
 
-/// SSE2 magnitude: abs via `max(v, -v)` (SSE2 lacks `pabsw`), saturating
-/// add, unsigned pack.
-pub fn magnitude_row_sse2_sim(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
-    use sse_sim::*;
+/// SSE2 magnitude over the [`Sse2`] surface: abs via `max(v, -v)` (SSE2
+/// lacks `pabsw`), saturating add, unsigned pack.
+#[inline(always)]
+fn magnitude_row_sse2<S: Sse2>(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
     assert_eq!(gx.len(), dst.len());
     assert_eq!(gy.len(), dst.len());
     let w = dst.len();
-    let zero = _mm_setzero_si128();
+    let zero = S::_mm_setzero_si128();
     let mut x = 0;
     while x + 8 <= w {
-        let vx = _mm_loadu_si128(&gx[x..]);
-        let vy = _mm_loadu_si128(&gy[x..]);
-        let ax = _mm_max_epi16(vx, _mm_sub_epi16(zero, vx));
-        let ay = _mm_max_epi16(vy, _mm_sub_epi16(zero, vy));
-        let sum = _mm_adds_epi16(ax, ay);
-        let packed = _mm_packus_epi16(sum, sum);
-        _mm_storel_epi64(&mut dst[x..], packed);
+        // SAFETY: the loads read gx[x..x+8] and gy[x..x+8] and the 64-bit
+        // store writes dst[x..x+8]; x + 8 <= w and all slices have length w.
+        unsafe {
+            let vx = S::_mm_loadu_si128(gx, x);
+            let vy = S::_mm_loadu_si128(gy, x);
+            let ax = S::_mm_max_epi16(vx, S::_mm_sub_epi16(zero, vx));
+            let ay = S::_mm_max_epi16(vy, S::_mm_sub_epi16(zero, vy));
+            let sum = S::_mm_adds_epi16(ax, ay);
+            S::_mm_storel_epi64(dst, x, S::_mm_packus_epi16(sum, sum));
+        }
         x += 8;
     }
     magnitude_row_scalar(&gx[x..], &gy[x..], &mut dst[x..]);
@@ -106,35 +110,12 @@ pub fn magnitude_row_neon_sim(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
 }
 
 /// Magnitude on the host's real SIMD unit.
+#[inline(never)] // own symbol, for the `asm` CI stage
 pub fn magnitude_row_native(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        assert_eq!(gx.len(), dst.len());
-        assert_eq!(gy.len(), dst.len());
-        let w = dst.len();
-        let mut x = 0;
-        // SAFETY: loads read gx[x..x+8]/gy[x..x+8]; the 64-bit store writes
-        // dst[x..x+8]; x + 8 <= w throughout, all slices have length w.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            while x + 8 <= w {
-                let vx = _mm_loadu_si128(gx.as_ptr().add(x) as *const __m128i);
-                let vy = _mm_loadu_si128(gy.as_ptr().add(x) as *const __m128i);
-                let ax = _mm_max_epi16(vx, _mm_sub_epi16(zero, vx));
-                let ay = _mm_max_epi16(vy, _mm_sub_epi16(zero, vy));
-                let sum = _mm_adds_epi16(ax, ay);
-                let packed = _mm_packus_epi16(sum, sum);
-                _mm_storel_epi64(dst.as_mut_ptr().add(x) as *mut __m128i, packed);
-                x += 8;
-            }
-        }
-        magnitude_row_scalar(&gx[x..], &gy[x..], &mut dst[x..]);
-    }
+    magnitude_row_sse2::<crate::sse2::Arch>(gx, gy, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        magnitude_row_scalar(gx, gy, dst);
-    }
+    magnitude_row_scalar(gx, gy, dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,7 +123,7 @@ pub fn magnitude_row_native(gx: &[i16], gy: &[i16], dst: &mut [u8]) {
 // ---------------------------------------------------------------------------
 
 /// One output pixel of the one-pass edge row: the scalar definition that
-/// [`edge_row_native`] vectorises, with horizontal borders replicated.
+/// [`edge_row_sse2`] vectorises, with horizontal borders replicated.
 ///
 /// With column sums `S(c) = a[c] + 2h[c] + b[c]` and column differences
 /// `D(c) = b[c] − a[c]`, the separable Sobel pair is
@@ -169,7 +150,7 @@ fn edge_px(above: &[u8], here: &[u8], below: &[u8], x: usize, thresh: u8) -> u8 
 /// `here` and `below` (the caller clamps the row indices at the image
 /// border). Bit-identical to the two-pass chain of
 /// [`try_edge_detect`] on the same rows; the reference for
-/// [`edge_row_native`] and its fallback off x86_64. Panics if the four
+/// [`edge_row_sse2`] and [`edge_row_native`]'s body off x86_64. Panics if the four
 /// rows differ in length.
 pub fn edge_row_scalar(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], thresh: u8) {
     let w = dst.len();
@@ -177,6 +158,31 @@ pub fn edge_row_scalar(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], 
     for (x, out) in dst.iter_mut().enumerate() {
         *out = edge_px(above, here, below, x, thresh);
     }
+}
+
+/// A one-pass edge row: `(above, here, below, dst, thresh)`.
+pub type EdgeRow = fn(&[u8], &[u8], &[u8], &mut [u8], u8);
+
+/// The one-pass edge row of `engine`, if it has one: [`edge_row_native`]
+/// for [`Engine::Native`], and the same SSE2 body on the [`Sim`] surface
+/// for [`Engine::Sse2Sim`]. Every other engine's fused edge runs the
+/// two-pass rows.
+pub fn one_pass_edge_row(engine: Engine) -> Option<EdgeRow> {
+    match engine {
+        Engine::Native => Some(edge_row_native),
+        Engine::Sse2Sim => Some(edge_row_sse2::<Sim>),
+        _ => None,
+    }
+}
+
+/// The one-pass edge row on the host's real SIMD unit: [`edge_row_sse2`]
+/// on `core::arch` on x86_64, [`edge_row_scalar`] elsewhere.
+#[inline(never)] // own symbol, for the `asm` CI stage
+pub fn edge_row_native(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], thresh: u8) {
+    #[cfg(target_arch = "x86_64")]
+    edge_row_sse2::<crate::sse2::Arch>(above, here, below, dst, thresh);
+    #[cfg(not(target_arch = "x86_64"))]
+    edge_row_scalar(above, here, below, dst, thresh);
 }
 
 /// One-pass SSE2 edge row: Sobel X, Sobel Y, the saturated L1 magnitude
@@ -200,101 +206,74 @@ pub fn edge_row_scalar(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], 
 ///
 /// If `above`, `here`, `below` and `dst` differ in length.
 ///
-/// # Safety of the unaligned loads
+/// # Bounds of the unaligned loads
 ///
-/// The function is safe to call; this is why its unsafe loop stays in
-/// bounds. A block at `x` reads bytes `[x−1, x+17)` of each row and
-/// writes `dst[x..x+16]`, so every block keeps `1 <= x <= w − 17`: the
-/// loop starts at 1, steps by 16, and its last block is moved back to
-/// `w − 17` (overlapping the one before and writing the same bytes)
-/// rather than leaving a scalar tail. Columns 0 and `w − 1`, whose
-/// neighbours are clamped, and rows narrower than 18 pixels, which have
-/// no such block, run [`edge_row_scalar`]'s per-pixel body.
-// Its own symbol, so `objdump` shows the vector loop alone.
-#[inline(never)]
-pub fn edge_row_native(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], thresh: u8) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        let w = dst.len();
-        assert!(above.len() == w && here.len() == w && below.len() == w);
-        if w < 18 {
-            edge_row_scalar(above, here, below, dst, thresh);
-            return;
-        }
-        dst[0] = edge_px(above, here, below, 0, thresh);
-        dst[w - 1] = edge_px(above, here, below, w - 1, thresh);
-        let last = w - 17;
-        let (a, h, b, out) = (
-            above.as_ptr(),
-            here.as_ptr(),
-            below.as_ptr(),
-            dst.as_mut_ptr(),
-        );
-        // SAFETY: every block has 1 <= x <= w - 17, so its loads read
-        // bytes [x-1, x+17) ⊆ [0, w) of rows of length w (asserted above),
-        // and its store writes dst[x..x+16] ⊆ [0, w). The pointers are
-        // only read through `_mm_loadu_si128`/written through
-        // `_mm_storeu_si128`, which take any alignment.
-        unsafe {
-            let ld = |p: *const u8, x: usize| _mm_loadu_si128(p.add(x) as *const __m128i);
-            let bias = _mm_set1_epi8(i8::MIN);
-            let thr = _mm_xor_si128(_mm_set1_epi8(thresh as i8), bias);
-            let mut x = 1;
-            loop {
-                let (al, ac, ar) = (ld(a, x - 1), ld(a, x), ld(a, x + 1));
-                let (bl, bc, br) = (ld(b, x - 1), ld(b, x), ld(b, x + 1));
-                let (hl, hr) = (ld(h, x - 1), ld(h, x + 1));
-                let rows = [al, ac, ar, bl, bc, br, hl, hr];
-                let lo = edge_mag_half_sse2::<false>(rows);
-                let hi = edge_mag_half_sse2::<true>(rows);
-                let mag = _mm_packus_epi16(lo, hi);
-                let edge = _mm_cmpgt_epi8(_mm_xor_si128(mag, bias), thr);
-                _mm_storeu_si128(out.add(x) as *mut __m128i, edge);
-                if x == last {
-                    break;
-                }
-                x = (x + 16).min(last);
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
+/// A block at `x` reads bytes `[x−1, x+17)` of each row and writes
+/// `dst[x..x+16]`, so every block keeps `1 <= x <= w − 17`: the loop
+/// starts at 1, steps by 16, and its last block is moved back to `w − 17`
+/// (overlapping the one before and writing the same bytes) rather than
+/// leaving a scalar tail. Columns 0 and `w − 1`, whose neighbours are
+/// clamped, and rows narrower than 18 pixels, which have no such block,
+/// run [`edge_row_scalar`]'s per-pixel body.
+#[inline(always)]
+pub fn edge_row_sse2<S: Sse2>(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], thresh: u8) {
+    let w = dst.len();
+    assert!(above.len() == w && here.len() == w && below.len() == w);
+    if w < 18 {
         edge_row_scalar(above, here, below, dst, thresh);
+        return;
+    }
+    dst[0] = edge_px(above, here, below, 0, thresh);
+    dst[w - 1] = edge_px(above, here, below, w - 1, thresh);
+    let last = w - 17;
+    let bias = S::_mm_set1_epi8(i8::MIN);
+    let thr = S::_mm_xor_si128(S::_mm_set1_epi8(thresh as i8), bias);
+    let mut x = 1;
+    loop {
+        // SAFETY: 1 <= x <= w - 17, so every load reads bytes
+        // [x-1, x+17) ⊆ [0, w) of a row of length w (asserted above), and
+        // the store writes dst[x..x+16] ⊆ [0, w).
+        unsafe {
+            let ld = |row: &[u8], at: usize| S::_mm_loadu_si128(row, at);
+            let (al, ac, ar) = (ld(above, x - 1), ld(above, x), ld(above, x + 1));
+            let (bl, bc, br) = (ld(below, x - 1), ld(below, x), ld(below, x + 1));
+            let (hl, hr) = (ld(here, x - 1), ld(here, x + 1));
+            let rows = [al, ac, ar, bl, bc, br, hl, hr];
+            let lo = edge_mag_half::<S, false>(rows);
+            let hi = edge_mag_half::<S, true>(rows);
+            let mag = S::_mm_packus_epi16(lo, hi);
+            let edge = S::_mm_cmpgt_epi8(S::_mm_xor_si128(mag, bias), thr);
+            S::_mm_storeu_si128(dst, x, edge);
+        }
+        if x == last {
+            break;
+        }
+        x = (x + 16).min(last);
     }
 }
 
 /// `|gx| + |gy|` (saturating i16) for the low (`HI = false`) or high 8
 /// lanes of the loads `[al, ac, ar, bl, bc, br, hl, hr]` of
-/// [`edge_row_native`]: `a`/`b`/`h` are the rows above/below/here, and
+/// [`edge_row_sse2`]: `a`/`b`/`h` are the rows above/below/here, and
 /// `l`/`c`/`r` the columns `x−1`, `x` and `x+1`.
-///
-/// # Safety
-///
-/// The CPU must have SSE2, which every x86_64 CPU has. The function only
-/// computes on its register arguments; it touches no memory.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn edge_mag_half_sse2<const HI: bool>(
-    rows: [std::arch::x86_64::__m128i; 8],
-) -> std::arch::x86_64::__m128i {
-    use std::arch::x86_64::*;
-    let zero = _mm_setzero_si128();
+fn edge_mag_half<S: Sse2, const HI: bool>(rows: [S::I; 8]) -> S::I {
+    let zero = S::_mm_setzero_si128();
     let wide = |v| {
         if HI {
-            _mm_unpackhi_epi8(v, zero)
+            S::_mm_unpackhi_epi8(v, zero)
         } else {
-            _mm_unpacklo_epi8(v, zero)
+            S::_mm_unpacklo_epi8(v, zero)
         }
     };
     let [al, ac, ar, bl, bc, br, hl, hr] = rows.map(wide);
-    let (u, v) = (_mm_sub_epi16(br, al), _mm_sub_epi16(ar, bl));
-    let (e, f) = (_mm_sub_epi16(hr, hl), _mm_sub_epi16(bc, ac));
-    let gx = _mm_add_epi16(_mm_add_epi16(u, v), _mm_add_epi16(e, e));
-    let gy = _mm_add_epi16(_mm_sub_epi16(u, v), _mm_add_epi16(f, f));
-    let ax = _mm_max_epi16(gx, _mm_sub_epi16(zero, gx));
-    let ay = _mm_max_epi16(gy, _mm_sub_epi16(zero, gy));
-    _mm_adds_epi16(ax, ay)
+    let (u, v) = (S::_mm_sub_epi16(br, al), S::_mm_sub_epi16(ar, bl));
+    let (e, f) = (S::_mm_sub_epi16(hr, hl), S::_mm_sub_epi16(bc, ac));
+    let gx = S::_mm_add_epi16(S::_mm_add_epi16(u, v), S::_mm_add_epi16(e, e));
+    let gy = S::_mm_add_epi16(S::_mm_sub_epi16(u, v), S::_mm_add_epi16(f, f));
+    let ax = S::_mm_max_epi16(gx, S::_mm_sub_epi16(zero, gx));
+    let ay = S::_mm_max_epi16(gy, S::_mm_sub_epi16(zero, gy));
+    S::_mm_adds_epi16(ax, ay)
 }
 
 #[cfg(test)]

@@ -10,31 +10,55 @@
 //! 2. **Vertical**: `u8[x] = (Σ_k u16_row[y+k-r][x] * w[k] + 2^15) >> 16` —
 //!    accumulated in `u32`, rounded, exact for constant images.
 //!
-//! Each pass has scalar, autovec-friendly, simulated SSE2 and NEON, and
-//! native implementations. The SIMD paths vectorise the interior columns
-//! and fall back to scalar at the replicated borders and row tails.
+//! Each pass has scalar, autovec-friendly, simulated NEON, SSE2 and native
+//! implementations. The SIMD paths vectorise the interior columns and fall
+//! back to scalar at the replicated borders and row tails.
 //!
-//! On x86_64 each native pass has one SSE2 body, generic over its tap count
-//! `K`; one arm per odd `K` up to [`MAX_TAPS`] picks it, so the tap loop is
-//! fully unrolled and the weights stay in registers. The horizontal body
-//! keeps the per-tap `punpcklbw`/`pmullw`/`paddw` of the simulated SSE2
-//! pass. The vertical body feeds two tap rows to each `pmaddwd`, on
-//! intermediates biased by `-2^15` so they fit its signed lanes; because
-//! the weights sum to 256 the bias cancels exactly:
+//! Each SSE2 pass has one body, generic over the [`Sse2`] surface and its
+//! tap count `K`: `Engine::Sse2Sim` runs it on the traced sim, and
+//! `Engine::Native` on `core::arch` on x86_64. One arm per odd `K` up to
+//! [`MAX_TAPS`] picks it, so the tap loop is fully unrolled and the weights
+//! stay in registers. The horizontal body runs a per-tap
+//! `punpcklbw`/`pmullw`/`paddw`. The vertical body feeds two tap rows to
+//! each `pmaddwd`, on intermediates biased by `-2^15` so they fit its
+//! signed lanes; because the weights sum to 256 the bias cancels exactly:
 //!
 //! `2^23 + 2^15 + Σ_k w[k]·(m_k - 2^15) = Σ_k w[k]·m_k + 2^15`,
 //!
 //! and every partial sum of `w[k]·(m_k - 2^15)` stays within `±2^23`, so
 //! the `i32` lanes never overflow. For every intermediate the horizontal
 //! pass can produce (`m ≤ 65280`) the output is the scalar one bit for bit.
-//! The simulated SSE2 pass keeps the paper's op stream (§V); see DESIGN.md
-//! §12.
+//! See DESIGN.md §12.
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelError, KernelResult};
 use crate::kernelgen::FixedKernel;
 use crate::scratch::MAX_TAPS;
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
+
+/// Evaluates `$body` with the constant `$k` set to `$len`, one arm per
+/// odd tap count up to [`MAX_TAPS`], when `$simd` holds; `$fallback`
+/// otherwise. `$body` names `$k` where a const generic argument goes, so
+/// each arm calls its own fixed-tap instance.
+macro_rules! with_fixed_taps {
+    ($len:expr, $simd:expr, |$k:ident| $body:expr, $fallback:expr) => {
+        with_fixed_taps!(@arms $len, $simd, $k, $body, $fallback;
+            1 3 5 7 9 11 13 15 17 19 21 23 25 27 29 31)
+    };
+    (@arms $len:expr, $simd:expr, $k:ident, $body:expr, $fallback:expr; $($n:literal)*) => {
+        match $len {
+            $($n if $simd => {
+                const $k: usize = $n;
+                $body
+            })*
+            _ => $fallback,
+        }
+    };
+}
+
+// The arm list above must end at the scratch ring's tap limit.
+const _: () = assert!(MAX_TAPS == 31);
 
 /// Blurs `src` into `dst` with an explicit Q8 kernel, using `engine` for
 /// both passes. Pass [`paper_gaussian_kernel`] for the paper's σ = 1,
@@ -73,7 +97,12 @@ pub fn horizontal_row(src: &[u8], dst: &mut [u16], kernel: &FixedKernel, engine:
     match engine {
         Engine::Scalar => horizontal_row_scalar(src, dst, kernel),
         Engine::Autovec => horizontal_row_autovec(src, dst, kernel),
-        Engine::Sse2Sim => horizontal_row_sse2_sim(src, dst, kernel),
+        Engine::Sse2Sim => with_fixed_taps!(
+            kernel.len(),
+            horizontal_fits_sse2(src, kernel),
+            |K| horizontal_row_taps::<Sim, K>(src, dst, kernel),
+            horizontal_row_scalar(src, dst, kernel)
+        ),
         Engine::NeonSim => horizontal_row_neon_sim(src, dst, kernel),
         Engine::Native => horizontal_row_native(src, dst, kernel),
     }
@@ -87,15 +116,7 @@ fn clamp_idx(i: isize, len: usize) -> usize {
 /// Reference horizontal pass with border replication everywhere.
 pub fn horizontal_row_scalar(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
     assert_eq!(src.len(), dst.len());
-    let r = kernel.radius as isize;
-    for x in 0..src.len() {
-        let mut acc = 0u32;
-        for (k, &w) in kernel.weights.iter().enumerate() {
-            let idx = clamp_idx(x as isize + k as isize - r, src.len());
-            acc += src[idx] as u32 * w as u32;
-        }
-        dst[x] = acc as u16;
-    }
+    horizontal_row_scalar_range(src, dst, kernel, 0, src.len());
 }
 
 /// Split-loop version: clamped borders, clamp-free interior the compiler
@@ -141,40 +162,6 @@ fn horizontal_row_scalar_range(
     }
 }
 
-/// Hand-written SSE2 horizontal pass (simulated surface): per tap, widen
-/// eight bytes to `u16` and multiply-accumulate with `pmullw`.
-pub fn horizontal_row_sse2_sim(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
-    use sse_sim::*;
-    assert_eq!(src.len(), dst.len());
-    let width = src.len();
-    let r = kernel.radius;
-    if width < 2 * r + 8 || !kernel.fits_u8() || kernel.len() > MAX_TAPS {
-        horizontal_row_scalar(src, dst, kernel);
-        return;
-    }
-    horizontal_row_scalar_range(src, dst, kernel, 0, r);
-    let zero = _mm_setzero_si128();
-    // Splatted weights live on the stack (MAX_TAPS-bounded) so row calls
-    // stay allocation-free — the fused pipeline invokes this per band row.
-    let mut weights = [zero; MAX_TAPS];
-    for (wv, &w) in weights.iter_mut().zip(kernel.weights.iter()) {
-        *wv = _mm_set1_epi16(w as i16);
-    }
-    let weights = &weights[..kernel.len()];
-    let mut x = r;
-    while x + 8 <= width - r {
-        let mut acc = _mm_setzero_si128();
-        for (k, wv) in weights.iter().enumerate() {
-            let v = _mm_loadl_epi64(&src[x - r + k..]);
-            let wide = _mm_unpacklo_epi8(v, zero);
-            acc = _mm_add_epi16(acc, _mm_mullo_epi16(wide, *wv));
-        }
-        _mm_storeu_si128(&mut dst[x..], acc);
-        x += 8;
-    }
-    horizontal_row_scalar_range(src, dst, kernel, x, width);
-}
-
 /// Hand-written NEON horizontal pass (simulated surface): per tap,
 /// `vmlal.u8` widening multiply-accumulate.
 pub fn horizontal_row_neon_sim(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
@@ -204,24 +191,13 @@ pub fn horizontal_row_neon_sim(src: &[u8], dst: &mut [u16], kernel: &FixedKernel
     horizontal_row_scalar_range(src, dst, kernel, x, width);
 }
 
-/// Calls `$body::<K>(args)` for `$len == K`, one arm per odd `K` up to
-/// [`MAX_TAPS`], when `$simd` holds; `$fallback` otherwise.
-#[cfg(target_arch = "x86_64")]
-macro_rules! with_fixed_taps {
-    ($len:expr, $simd:expr, $body:ident $args:tt, $fallback:expr) => {
-        with_fixed_taps!(@arms $len, $simd, $body $args, $fallback;
-            1 3 5 7 9 11 13 15 17 19 21 23 25 27 29 31)
-    };
-    (@arms $len:expr, $simd:expr, $body:ident $args:tt, $fallback:expr; $($k:literal)*) => {
-        match $len {
-            $($k if $simd => $body::<$k> $args,)*
-            _ => $fallback,
-        }
-    };
+/// True when the fixed-tap SSE2 horizontal body runs: an odd tap count up
+/// to [`MAX_TAPS`] (checked by the arms of `with_fixed_taps!`), `u8`
+/// weights and a row of at least `2r + 8` pixels.
+fn horizontal_fits_sse2(src: &[u8], kernel: &FixedKernel) -> bool {
+    let r = kernel.radius;
+    kernel.fits_u8() && kernel.len() == 2 * r + 1 && src.len() >= 2 * r + 8
 }
-
-// The arm list above must end at the scratch ring's tap limit.
-const _: () = assert!(MAX_TAPS == 31);
 
 /// Horizontal pass on the host's real SIMD unit.
 ///
@@ -230,52 +206,47 @@ const _: () = assert!(MAX_TAPS == 31);
 /// else runs [`horizontal_row_scalar`].
 pub fn horizontal_row_native(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
     #[cfg(target_arch = "x86_64")]
-    {
-        let r = kernel.radius;
-        let simd = kernel.fits_u8() && kernel.len() == 2 * r + 1 && src.len() >= 2 * r + 8;
-        with_fixed_taps!(
-            kernel.len(),
-            simd,
-            horizontal_row_sse2(src, dst, kernel),
-            horizontal_row_scalar(src, dst, kernel)
-        )
-    }
+    with_fixed_taps!(
+        kernel.len(),
+        horizontal_fits_sse2(src, kernel),
+        |K| horizontal_row_native_taps::<K>(src, dst, kernel),
+        horizontal_row_scalar(src, dst, kernel)
+    );
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        horizontal_row_autovec(src, dst, kernel);
-    }
+    horizontal_row_autovec(src, dst, kernel);
+}
+
+/// [`horizontal_row_taps`] on `core::arch`.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)] // one symbol per tap count, for the `asm` CI stage
+fn horizontal_row_native_taps<const K: usize>(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
+    horizontal_row_taps::<crate::sse2::Arch, K>(src, dst, kernel)
 }
 
 /// The SSE2 horizontal body for exactly `K` taps: per tap, widen eight
 /// bytes with `punpcklbw`, multiply by the splatted weight with `pmullw`,
 /// and add with `paddw`. The tap loop has a constant trip count, so it is
 /// fully unrolled and the `K` weights stay in registers.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)] // one symbol per tap count, so each instance disassembles on its own
-fn horizontal_row_sse2<const K: usize>(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
-    use std::arch::x86_64::*;
+#[inline(always)]
+fn horizontal_row_taps<S: Sse2, const K: usize>(src: &[u8], dst: &mut [u16], kernel: &FixedKernel) {
     let width = src.len();
     let r = K / 2;
     assert!(dst.len() == width && kernel.len() == K && kernel.radius == r && width >= 2 * r + 8);
     horizontal_row_scalar_range(src, dst, kernel, 0, r);
+    let zero = S::_mm_setzero_si128();
+    let weights: [S::I; K] = std::array::from_fn(|k| S::_mm_set1_epi16(kernel.weights[k] as i16));
     let mut x = r;
-    // SAFETY: tap k's 64-bit load reads src[x-r+k .. x-r+k+8]; with
-    // k < K = 2r + 1 and x + 8 <= width - r it stays within src. The store
-    // writes dst[x..x+8] and dst.len() == width. SSE2 is baseline on x86_64.
-    unsafe {
-        let zero = _mm_setzero_si128();
-        let weights: [__m128i; K] =
-            std::array::from_fn(|k| _mm_set1_epi16(kernel.weights[k] as i16));
-        while x + 8 <= width - r {
-            let window = src.as_ptr().add(x - r);
-            let mut acc = zero;
-            for (k, wv) in weights.iter().enumerate() {
-                let v = _mm_loadl_epi64(window.add(k) as *const __m128i);
-                acc = _mm_add_epi16(acc, _mm_mullo_epi16(_mm_unpacklo_epi8(v, zero), *wv));
-            }
-            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, acc);
-            x += 8;
+    while x + 8 <= width - r {
+        let mut acc = zero;
+        for (k, wv) in weights.iter().enumerate() {
+            // SAFETY: tap k's 64-bit load reads src[x-r+k .. x-r+k+8]; with
+            // k < K = 2r + 1 and x + 8 <= width - r it stays within src.
+            let v = unsafe { S::_mm_loadl_epi64(src, x - r + k) };
+            acc = S::_mm_add_epi16(acc, S::_mm_mullo_epi16(S::_mm_unpacklo_epi8(v, zero), *wv));
         }
+        // SAFETY: the store writes dst[x..x+8], and dst.len() == width.
+        unsafe { S::_mm_storeu_si128(dst, x, acc) };
+        x += 8;
     }
     horizontal_row_scalar_range(src, dst, kernel, x, width);
 }
@@ -305,7 +276,12 @@ pub fn vertical_row(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel, engin
     match engine {
         Engine::Scalar => vertical_row_scalar(taps, dst, kernel),
         Engine::Autovec => vertical_row_autovec(taps, dst, kernel),
-        Engine::Sse2Sim => vertical_row_sse2_sim(taps, dst, kernel),
+        Engine::Sse2Sim => with_fixed_taps!(
+            kernel.len(),
+            vertical_fits_sse2(kernel),
+            |K| vertical_row_taps::<Sim, K>(taps, dst, kernel),
+            vertical_row_scalar(taps, dst, kernel)
+        ),
         Engine::NeonSim => vertical_row_neon_sim(taps, dst, kernel),
         Engine::Native => vertical_row_native(taps, dst, kernel),
     }
@@ -316,13 +292,7 @@ const ROUND: u32 = 1 << 15;
 /// Reference vertical pass.
 pub fn vertical_row_scalar(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
     assert_eq!(taps.len(), kernel.len());
-    for x in 0..dst.len() {
-        let mut acc = ROUND;
-        for (row, &w) in taps.iter().zip(kernel.weights.iter()) {
-            acc += row[x] as u32 * w as u32;
-        }
-        dst[x] = (acc >> 16) as u8;
-    }
+    vertical_row_scalar_range(taps, dst, kernel, 0, dst.len());
 }
 
 /// Iterator-shaped vertical pass for the auto-vectorizer.
@@ -350,43 +320,6 @@ pub fn vertical_row_autovec(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKerne
         }
         x0 += n;
     }
-}
-
-/// Hand-written SSE2 vertical pass: `pmullw`/`pmulhuw` split products,
-/// 32-bit accumulation, rounding shift, double pack.
-pub fn vertical_row_sse2_sim(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
-    use sse_sim::*;
-    assert_eq!(taps.len(), kernel.len());
-    if kernel.len() > MAX_TAPS {
-        vertical_row_scalar(taps, dst, kernel);
-        return;
-    }
-    let width = dst.len();
-    let round = _mm_set1_epi32(ROUND as i32);
-    let mut weights = [_mm_setzero_si128(); MAX_TAPS];
-    for (wv, &w) in weights.iter_mut().zip(kernel.weights.iter()) {
-        *wv = _mm_set1_epi16(w as i16);
-    }
-    let weights = &weights[..kernel.len()];
-    let mut x = 0;
-    while x + 8 <= width {
-        let mut acc_lo = round;
-        let mut acc_hi = round;
-        for (row, wv) in taps.iter().zip(weights.iter()) {
-            let v = _mm_loadu_si128(&row[x..]);
-            let lo16 = _mm_mullo_epi16(v, *wv);
-            let hi16 = _mm_mulhi_epu16(v, *wv);
-            acc_lo = _mm_add_epi32(acc_lo, _mm_unpacklo_epi16(lo16, hi16));
-            acc_hi = _mm_add_epi32(acc_hi, _mm_unpackhi_epi16(lo16, hi16));
-        }
-        let r_lo = _mm_srli_epi32::<16>(acc_lo);
-        let r_hi = _mm_srli_epi32::<16>(acc_hi);
-        let packed16 = _mm_packs_epi32(r_lo, r_hi);
-        let packed8 = _mm_packus_epi16(packed16, packed16);
-        _mm_storel_epi64(&mut dst[x..], packed8);
-        x += 8;
-    }
-    vertical_row_scalar_range(taps, dst, kernel, x, width);
 }
 
 /// Hand-written NEON vertical pass: `vmlal.u16` into `u32`, rounding shift,
@@ -439,6 +372,13 @@ fn vertical_row_scalar_range(
     }
 }
 
+/// True when the fixed-tap SSE2 vertical body runs: an odd tap count up to
+/// [`MAX_TAPS`] (checked by the arms of `with_fixed_taps!`) whose weights
+/// lie in `0..=256` and sum to 256.
+fn vertical_fits_sse2(kernel: &FixedKernel) -> bool {
+    kernel.sum() == 256 && kernel.weights.iter().all(|w| (0..=256).contains(w))
+}
+
 /// Vertical pass on the host's real SIMD unit.
 ///
 /// On x86_64 an odd tap count up to [`MAX_TAPS`] whose weights lie in
@@ -446,19 +386,21 @@ fn vertical_row_scalar_range(
 /// runs [`vertical_row_scalar`].
 pub fn vertical_row_native(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
     #[cfg(target_arch = "x86_64")]
-    {
-        let simd = kernel.sum() == 256 && kernel.weights.iter().all(|w| (0..=256).contains(w));
-        with_fixed_taps!(
-            kernel.len(),
-            simd,
-            vertical_row_sse2(taps, dst, kernel),
-            vertical_row_scalar(taps, dst, kernel)
-        )
-    }
+    with_fixed_taps!(
+        kernel.len(),
+        vertical_fits_sse2(kernel),
+        |K| vertical_row_native_taps::<K>(taps, dst, kernel),
+        vertical_row_scalar(taps, dst, kernel)
+    );
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        vertical_row_autovec(taps, dst, kernel);
-    }
+    vertical_row_autovec(taps, dst, kernel);
+}
+
+/// [`vertical_row_taps`] on `core::arch`.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)] // one symbol per tap count, for the `asm` CI stage
+fn vertical_row_native_taps<const K: usize>(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
+    vertical_row_taps::<crate::sse2::Arch, K>(taps, dst, kernel)
 }
 
 /// The SSE2 vertical body for exactly `K` taps, 16 pixels per iteration,
@@ -477,59 +419,62 @@ pub fn vertical_row_native(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel
 /// for bit whenever it fits a `u8` (every `m ≤ 65280`). With
 /// `0 <= w <= 256` and `Σ w = 256`, every partial sum of `w·(m - 2^15)`
 /// lies in `[-2^23, 2^23)`, so no `i32` lane overflows.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)] // one symbol per tap count, as for the horizontal body
-fn vertical_row_sse2<const K: usize>(taps: &[&[u16]], dst: &mut [u8], kernel: &FixedKernel) {
-    use std::arch::x86_64::*;
+#[inline(always)]
+fn vertical_row_taps<S: Sse2, const K: usize>(
+    taps: &[&[u16]],
+    dst: &mut [u8],
+    kernel: &FixedKernel,
+) {
     let width = dst.len();
     assert!(taps.len() == K && kernel.len() == K);
     assert!(taps.iter().all(|row| row.len() >= width));
+    // Thin pointers: a tap-pair loop that is not unrolled (large `K`) then
+    // steps through an 8-byte array, where slices would take 16.
     let rows: [*const u16; K] = std::array::from_fn(|k| taps[k].as_ptr());
+    let flip = S::_mm_set1_epi16(i16::MIN);
+    let start = S::_mm_set1_epi32((1 << 23) + ROUND as i32);
+    // Pair i (of K.div_ceil(2)) holds w[2i] in the low and w[2i+1] in the
+    // high half of each 32-bit lane; entries past the pairs stay zero.
+    let pairs: [S::I; K] = std::array::from_fn(|i| {
+        let lo = kernel.weights.get(2 * i).copied().unwrap_or(0);
+        let hi = kernel.weights.get(2 * i + 1).copied().unwrap_or(0);
+        S::_mm_set1_epi32(lo | (hi << 16))
+    });
     let mut x = 0;
-    // SAFETY: every load reads rows[k][x..x+8] with x + 8 <= width, and
-    // each tap row holds at least `width` values (asserted above). The
-    // stores write dst[x..x+16] or dst[x..x+8] under the same bound. SSE2
-    // is baseline on x86_64.
+    // SAFETY: rows[k] points at a tap row of at least `width` values
+    // (asserted above), so `row(k)` is that row's first `width` values.
+    // Every load reads rows[k][x..x+8] with x + 8 <= width. The stores
+    // write dst[x..x+16] or dst[x..x+8] under the same bound.
     unsafe {
-        let flip = _mm_set1_epi16(i16::MIN);
-        let start = _mm_set1_epi32((1 << 23) + ROUND as i32);
-        // Pair i (of K.div_ceil(2)) holds w[2i] in the low and w[2i+1] in the
-        // high half of each 32-bit lane; entries past the pairs stay zero.
-        let pairs: [__m128i; K] = std::array::from_fn(|i| {
-            let lo = kernel.weights.get(2 * i).copied().unwrap_or(0);
-            let hi = kernel.weights.get(2 * i + 1).copied().unwrap_or(0);
-            _mm_set1_epi32(lo | (hi << 16))
-        });
+        let row = |k: usize| std::slice::from_raw_parts(rows[k], width);
         // Eight output pixels starting at `x`, as saturated `i16` lanes.
         let eight = |x: usize| {
             let mut acc_lo = start;
             let mut acc_hi = start;
             for (i, wp) in pairs.iter().enumerate().take(K.div_ceil(2)) {
-                let a = _mm_xor_si128(_mm_loadu_si128(rows[2 * i].add(x) as *const __m128i), flip);
+                let a = S::_mm_xor_si128(S::_mm_loadu_si128(row(2 * i), x), flip);
                 let b = if 2 * i + 1 < K {
-                    _mm_xor_si128(
-                        _mm_loadu_si128(rows[2 * i + 1].add(x) as *const __m128i),
-                        flip,
-                    )
+                    S::_mm_xor_si128(S::_mm_loadu_si128(row(2 * i + 1), x), flip)
                 } else {
                     a
                 };
-                acc_lo = _mm_add_epi32(acc_lo, _mm_madd_epi16(_mm_unpacklo_epi16(a, b), *wp));
-                acc_hi = _mm_add_epi32(acc_hi, _mm_madd_epi16(_mm_unpackhi_epi16(a, b), *wp));
+                acc_lo =
+                    S::_mm_add_epi32(acc_lo, S::_mm_madd_epi16(S::_mm_unpacklo_epi16(a, b), *wp));
+                acc_hi =
+                    S::_mm_add_epi32(acc_hi, S::_mm_madd_epi16(S::_mm_unpackhi_epi16(a, b), *wp));
             }
-            _mm_packs_epi32(_mm_srai_epi32::<16>(acc_lo), _mm_srai_epi32::<16>(acc_hi))
+            S::_mm_packs_epi32(
+                S::_mm_srai_epi32::<16>(acc_lo),
+                S::_mm_srai_epi32::<16>(acc_hi),
+            )
         };
         while x + 16 <= width {
-            let packed = _mm_packus_epi16(eight(x), eight(x + 8));
-            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, packed);
+            S::_mm_storeu_si128(dst, x, S::_mm_packus_epi16(eight(x), eight(x + 8)));
             x += 16;
         }
         if x + 8 <= width {
             let lo = eight(x);
-            _mm_storel_epi64(
-                dst.as_mut_ptr().add(x) as *mut __m128i,
-                _mm_packus_epi16(lo, lo),
-            );
+            S::_mm_storel_epi64(dst, x, S::_mm_packus_epi16(lo, lo));
             x += 8;
         }
     }

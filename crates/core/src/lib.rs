@@ -50,6 +50,7 @@ pub mod pipeline;
 pub mod resize;
 pub mod scratch;
 pub mod sobel;
+pub mod sse2;
 pub mod stream;
 pub mod threshold;
 

@@ -14,6 +14,7 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelResult};
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
 
 /// Applies a 3×3 median filter with replicated borders. Validates
@@ -36,7 +37,7 @@ pub fn median_row3(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], engi
     match engine {
         Engine::Scalar => median_row3_scalar(above, here, below, dst),
         Engine::Autovec => median_row3_network_scalar(above, here, below, dst),
-        Engine::Sse2Sim => median_row3_sse2_sim(above, here, below, dst),
+        Engine::Sse2Sim => median_row3_sse2::<Sim>(above, here, below, dst),
         Engine::NeonSim => median_row3_neon_sim(above, here, below, dst),
         Engine::Native => median_row3_native(above, here, below, dst),
     }
@@ -46,24 +47,8 @@ pub fn median_row3(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8], engi
 pub fn median_row3_scalar(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8]) {
     assert_eq!(here.len(), dst.len());
     let w = dst.len();
-    if w == 0 {
-        return;
-    }
-    let cx = |x: isize| x.clamp(0, w as isize - 1) as usize;
     for x in 0..w {
-        let mut v = [
-            above[cx(x as isize - 1)],
-            above[x],
-            above[cx(x as isize + 1)],
-            here[cx(x as isize - 1)],
-            here[x],
-            here[cx(x as isize + 1)],
-            below[cx(x as isize - 1)],
-            below[x],
-            below[cx(x as isize + 1)],
-        ];
-        v.sort_unstable();
-        dst[x] = v[4];
+        dst[x] = median_edge(above, here, below, x, w);
     }
 }
 
@@ -123,29 +108,36 @@ macro_rules! median_network {
     }};
 }
 
-/// SSE2 median: nine unaligned loads feeding the `pminub`/`pmaxub` network.
-pub fn median_row3_sse2_sim(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8]) {
-    use sse_sim::*;
+/// SSE2 median over the [`Sse2`] surface: nine unaligned loads feeding the
+/// `pminub`/`pmaxub` network.
+#[inline(always)]
+fn median_row3_sse2<S: Sse2>(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8]) {
     assert_eq!(here.len(), dst.len());
     let w = dst.len();
+    assert!(above.len() >= w && below.len() >= w);
     if w < 18 {
         median_row3_scalar(above, here, below, dst);
         return;
     }
     dst[0] = median_edge(above, here, below, 0, w);
-    let mn = |a, b| _mm_min_epu8(a, b);
-    let mx = |a, b| _mm_max_epu8(a, b);
+    let mn = |a, b| S::_mm_min_epu8(a, b);
+    let mx = |a, b| S::_mm_max_epu8(a, b);
     let mut x = 1;
     while x + 16 < w {
-        let col = |row: &[u8], dx: usize| _mm_loadu_si128(&row[x - 1 + dx..]);
-        let median = median_network!(
-            mn,
-            mx,
-            (col(above, 0), col(here, 0), col(below, 0)),
-            (col(above, 1), col(here, 1), col(below, 1)),
-            (col(above, 2), col(here, 2), col(below, 2))
-        );
-        _mm_storeu_si128(&mut dst[x..], median);
+        // SAFETY: the loads read row[x-1 .. x+17]; with x + 16 < w the
+        // furthest byte is x+16 <= w-1, and every row holds w bytes
+        // (asserted above). The store writes dst[x..x+16] ⊆ [0, w).
+        unsafe {
+            let col = |row: &[u8], dx: usize| S::_mm_loadu_si128(row, x - 1 + dx);
+            let median = median_network!(
+                mn,
+                mx,
+                (col(above, 0), col(here, 0), col(below, 0)),
+                (col(above, 1), col(here, 1), col(below, 1)),
+                (col(above, 2), col(here, 2), col(below, 2))
+            );
+            S::_mm_storeu_si128(dst, x, median);
+        }
         x += 16;
     }
     for xi in x..w {
@@ -184,47 +176,12 @@ pub fn median_row3_neon_sim(above: &[u8], here: &[u8], below: &[u8], dst: &mut [
 }
 
 /// Median on the host's real SIMD unit.
+#[inline(never)] // own symbol, for the `asm` CI stage
 pub fn median_row3_native(above: &[u8], here: &[u8], below: &[u8], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        assert_eq!(here.len(), dst.len());
-        let w = dst.len();
-        if w < 18 {
-            median_row3_scalar(above, here, below, dst);
-            return;
-        }
-        dst[0] = median_edge(above, here, below, 0, w);
-        let mut x = 1;
-        // SAFETY: loads read row[x-1 .. x+17]; with x + 16 < w the furthest
-        // byte is x+16 <= w-1; all three rows have length w (asserted for
-        // `here`; `above`/`below` come from the same image).
-        unsafe {
-            let mn = |a, b| _mm_min_epu8(a, b);
-            let mx = |a, b| _mm_max_epu8(a, b);
-            while x + 16 < w {
-                let col = |row: &[u8], dx: usize| {
-                    _mm_loadu_si128(row.as_ptr().add(x - 1 + dx) as *const __m128i)
-                };
-                let median = median_network!(
-                    mn,
-                    mx,
-                    (col(above, 0), col(here, 0), col(below, 0)),
-                    (col(above, 1), col(here, 1), col(below, 1)),
-                    (col(above, 2), col(here, 2), col(below, 2))
-                );
-                _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, median);
-                x += 16;
-            }
-        }
-        for xi in x..w {
-            dst[xi] = median_edge(above, here, below, xi, w);
-        }
-    }
+    median_row3_sse2::<crate::sse2::Arch>(above, here, below, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        median_row3_network_scalar(above, here, below, dst);
-    }
+    median_row3_network_scalar(above, here, below, dst);
 }
 
 /// Scalar median for one (possibly border) pixel.

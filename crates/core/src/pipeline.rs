@@ -37,7 +37,7 @@
 //! paths).
 
 use crate::dispatch::Engine;
-use crate::edge::{edge_row_native, magnitude_row};
+use crate::edge::{magnitude_row, one_pass_edge_row};
 use crate::error::{validate_pair, KernelError, KernelResult};
 use crate::gaussian::{horizontal_row, vertical_row};
 use crate::kernelgen::FixedKernel;
@@ -430,7 +430,8 @@ fn edge_op(
 
 /// Runs the fused edge chain over dst rows `[y0, y1)`.
 ///
-/// [`Engine::Native`] runs [`edge_row_native`] once per output row,
+/// An engine with a one-pass edge row ([`one_pass_edge_row`]: `Native`
+/// and `Sse2Sim`, which share one SSE2 body) runs it once per output row,
 /// straight from the three clamped source rows: no ring, so no halo row
 /// is recomputed. Every other engine advances both horizontal passes
 /// (difference for gx, smoothing for gy) in lockstep through their own
@@ -449,14 +450,14 @@ fn edge_band(
     faultline::fire("pipeline.band");
     let width = src.width();
     let height = src.height();
-    if engine == Engine::Native {
+    if let Some(edge_row) = one_pass_edge_row(engine) {
         let _telemetry = BandTelemetry::start(y0, y0);
         for y in y0..y1 {
             let above = src.row(clamp_row(y as isize - 1, height));
             let below = src.row(clamp_row(y as isize + 1, height));
             let row0 = (y - y0) * dst_stride;
             let drow = &mut dst_band[row0..row0 + width];
-            edge_row_native(above, src.row(y), below, drow, thresh);
+            edge_row(above, src.row(y), below, drow, thresh);
         }
         return;
     }

@@ -21,6 +21,7 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_frame, KernelError, KernelResult};
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
 
 #[inline]
@@ -64,7 +65,7 @@ pub fn downsample_row(top: &[u8], bottom: &[u8], dst: &mut [u8], engine: Engine)
     match engine {
         Engine::Scalar => downsample_row_scalar(top, bottom, dst),
         Engine::Autovec => downsample_row_autovec(top, bottom, dst),
-        Engine::Sse2Sim => downsample_row_sse2_sim(top, bottom, dst),
+        Engine::Sse2Sim => downsample_row_sse2::<Sim>(top, bottom, dst),
         Engine::NeonSim => downsample_row_neon_sim(top, bottom, dst),
         Engine::Native => downsample_row_native(top, bottom, dst),
     }
@@ -93,23 +94,33 @@ pub fn downsample_row_autovec(top: &[u8], bottom: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// SSE2: even/odd split via mask + shift + `packus`, then `pavgb` cascade.
-pub fn downsample_row_sse2_sim(top: &[u8], bottom: &[u8], dst: &mut [u8]) {
-    use sse_sim::*;
+/// SSE2 over the [`Sse2`] surface: even/odd split via mask + shift +
+/// `packus`, then the `pavgb` cascade.
+#[inline(always)]
+fn downsample_row_sse2<S: Sse2>(top: &[u8], bottom: &[u8], dst: &mut [u8]) {
     assert!(top.len() >= 2 * dst.len() && bottom.len() >= 2 * dst.len());
     let n = dst.len();
-    let byte_mask = _mm_set1_epi16(0x00FF);
+    let byte_mask = S::_mm_set1_epi16(0x00FF);
     let mut x = 0;
     while x + 16 <= n {
-        let havg = |row: &[u8]| {
-            let v0 = _mm_loadu_si128(&row[2 * x..]);
-            let v1 = _mm_loadu_si128(&row[2 * x + 16..]);
-            let even = _mm_packus_epi16(_mm_and_si128(v0, byte_mask), _mm_and_si128(v1, byte_mask));
-            let odd = _mm_packus_epi16(_mm_srli_epi16::<8>(v0), _mm_srli_epi16::<8>(v1));
-            _mm_avg_epu8(even, odd)
-        };
-        let out = _mm_avg_epu8(havg(top), havg(bottom));
-        _mm_storeu_si128(&mut dst[x..], out);
+        // SAFETY: the two loads per row read row[2x .. 2x+32], within 2n
+        // (x + 16 <= n, asserted rows of >= 2n); the store writes
+        // dst[x..x+16] and x + 16 <= n.
+        unsafe {
+            let havg = |row: &[u8]| {
+                let v0 = S::_mm_loadu_si128(row, 2 * x);
+                let v1 = S::_mm_loadu_si128(row, 2 * x + 16);
+                let even = S::_mm_packus_epi16(
+                    S::_mm_and_si128(v0, byte_mask),
+                    S::_mm_and_si128(v1, byte_mask),
+                );
+                let odd =
+                    S::_mm_packus_epi16(S::_mm_srli_epi16::<8>(v0), S::_mm_srli_epi16::<8>(v1));
+                S::_mm_avg_epu8(even, odd)
+            };
+            let out = S::_mm_avg_epu8(havg(top), havg(bottom));
+            S::_mm_storeu_si128(dst, x, out);
+        }
         x += 16;
     }
     downsample_row_scalar(&top[2 * x..], &bottom[2 * x..], &mut dst[x..]);
@@ -134,39 +145,12 @@ pub fn downsample_row_neon_sim(top: &[u8], bottom: &[u8], dst: &mut [u8]) {
 }
 
 /// Downsampling on the host's real SIMD unit.
+#[inline(never)] // own symbol, for the `asm` CI stage
 pub fn downsample_row_native(top: &[u8], bottom: &[u8], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        assert!(top.len() >= 2 * dst.len() && bottom.len() >= 2 * dst.len());
-        let n = dst.len();
-        let mut x = 0;
-        // SAFETY: the two loads per row read row[2x .. 2x+32] which is
-        // within 2n (x + 16 <= n); the store writes dst[x..x+16] <= n.
-        unsafe {
-            let byte_mask = _mm_set1_epi16(0x00FF);
-            while x + 16 <= n {
-                let havg = |row: &[u8]| {
-                    let v0 = _mm_loadu_si128(row.as_ptr().add(2 * x) as *const __m128i);
-                    let v1 = _mm_loadu_si128(row.as_ptr().add(2 * x + 16) as *const __m128i);
-                    let even = _mm_packus_epi16(
-                        _mm_and_si128(v0, byte_mask),
-                        _mm_and_si128(v1, byte_mask),
-                    );
-                    let odd = _mm_packus_epi16(_mm_srli_epi16::<8>(v0), _mm_srli_epi16::<8>(v1));
-                    _mm_avg_epu8(even, odd)
-                };
-                let out = _mm_avg_epu8(havg(top), havg(bottom));
-                _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, out);
-                x += 16;
-            }
-        }
-        downsample_row_scalar(&top[2 * x..], &bottom[2 * x..], &mut dst[x..]);
-    }
+    downsample_row_sse2::<crate::sse2::Arch>(top, bottom, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        downsample_row_autovec(top, bottom, dst);
-    }
+    downsample_row_autovec(top, bottom, dst);
 }
 
 #[cfg(test)]

@@ -28,9 +28,9 @@ pub const MAX_TAPS: usize = 31;
 ///   rows.
 /// * Sobel: the first 3 rows of `ring_a` hold the `[-1,0,1]` or `[1,2,1]`
 ///   horizontal results.
-/// * Edge, on every engine but Native: `ring_a` (h-diff) and `ring_b`
-///   (h-smooth) both cycle 3 rows; `row_gx`/`row_gy`/`row_u8` hold the
-///   per-row gradient and magnitude.
+/// * Edge, on every engine without a one-pass edge row: `ring_a` (h-diff)
+///   and `ring_b` (h-smooth) both cycle 3 rows; `row_gx`/`row_gy`/`row_u8`
+///   hold the per-row gradient and magnitude.
 ///
 /// Buffers are allocated at least as large as requested and sliced to the
 /// image width at the point of use, so a workspace warmed on one image is
@@ -111,12 +111,14 @@ impl WorkspaceSpec {
         }
     }
 
-    /// Spec for the fused edge-detection chain on `engine`. The
-    /// [`Engine::Native`] band reads its three source rows directly and
-    /// needs no workspace, so its spec is empty; every other engine
-    /// needs two 3-row rings and the per-row temps.
+    /// Spec for the fused edge-detection chain on `engine`. A band of an
+    /// engine with a one-pass edge row (`Native` and `Sse2Sim`, see
+    /// [`one_pass_edge_row`](crate::edge::one_pass_edge_row)) reads its
+    /// three source rows directly and needs no workspace, so its spec is
+    /// empty; every other engine needs two 3-row rings and the per-row
+    /// temps.
     pub fn edge(width: usize, engine: Engine) -> Self {
-        let ringed = engine != Engine::Native;
+        let ringed = crate::edge::one_pass_edge_row(engine).is_none();
         WorkspaceSpec {
             width,
             u16_rows: 0,

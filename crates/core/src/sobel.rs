@@ -5,6 +5,7 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelResult};
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
 
 /// Gradient direction.
@@ -59,7 +60,7 @@ pub fn try_sobel(
 pub fn h_diff_row(src: &[u8], dst: &mut [i16], engine: Engine) {
     match engine {
         Engine::Scalar | Engine::Autovec => h_diff_row_scalar(src, dst),
-        Engine::Sse2Sim => h_diff_row_sse2_sim(src, dst),
+        Engine::Sse2Sim => h_diff_row_sse2::<Sim>(src, dst),
         Engine::NeonSim => h_diff_row_neon_sim(src, dst),
         Engine::Native => h_diff_row_native(src, dst),
     }
@@ -78,8 +79,10 @@ pub fn h_diff_row_scalar(src: &[u8], dst: &mut [i16]) {
     }
 }
 
-fn h_diff_row_sse2_sim(src: &[u8], dst: &mut [i16]) {
-    use sse_sim::*;
+/// SSE2 horizontal difference over the [`Sse2`] surface: two 8-byte loads
+/// one pixel apart, widened, subtracted.
+#[inline(always)]
+fn h_diff_row_sse2<S: Sse2>(src: &[u8], dst: &mut [i16]) {
     assert_eq!(src.len(), dst.len());
     let w = src.len();
     if w < 10 {
@@ -87,13 +90,17 @@ fn h_diff_row_sse2_sim(src: &[u8], dst: &mut [i16]) {
         return;
     }
     dst[0] = src[1] as i16 - src[0] as i16;
-    let zero = _mm_setzero_si128();
+    let zero = S::_mm_setzero_si128();
     let mut x = 1;
     while x + 8 < w {
-        let left = _mm_unpacklo_epi8(_mm_loadl_epi64(&src[x - 1..]), zero);
-        let right = _mm_unpacklo_epi8(_mm_loadl_epi64(&src[x + 1..]), zero);
-        let diff = _mm_sub_epi16(right, left);
-        _mm_storeu_si128(&mut dst[x..], diff);
+        // SAFETY: the loads read src[x-1..x+7] and src[x+1..x+9]; with
+        // x + 8 <= w - 1 the furthest byte is x+8 <= w-1. The store writes
+        // dst[x..x+8], and x + 8 < w.
+        unsafe {
+            let left = S::_mm_unpacklo_epi8(S::_mm_loadl_epi64(src, x - 1), zero);
+            let right = S::_mm_unpacklo_epi8(S::_mm_loadl_epi64(src, x + 1), zero);
+            S::_mm_storeu_si128(dst, x, S::_mm_sub_epi16(right, left));
+        }
         x += 8;
     }
     for xi in x..w {
@@ -126,47 +133,12 @@ fn h_diff_row_neon_sim(src: &[u8], dst: &mut [i16]) {
     }
 }
 
+#[inline(never)] // own symbol, for the `asm` CI stage
 fn h_diff_row_native(src: &[u8], dst: &mut [i16]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        assert_eq!(src.len(), dst.len());
-        let w = src.len();
-        if w < 10 {
-            h_diff_row_scalar(src, dst);
-            return;
-        }
-        dst[0] = src[1] as i16 - src[0] as i16;
-        let mut x = 1;
-        // SAFETY: loads read src[x-1..x+7] and src[x+1..x+9]; with
-        // x + 8 <= w - 1 the furthest byte is x+8 <= w-1. Store writes
-        // dst[x..x+8] <= w-1+1 = w.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            while x + 8 < w {
-                let left = _mm_unpacklo_epi8(
-                    _mm_loadl_epi64(src.as_ptr().add(x - 1) as *const __m128i),
-                    zero,
-                );
-                let right = _mm_unpacklo_epi8(
-                    _mm_loadl_epi64(src.as_ptr().add(x + 1) as *const __m128i),
-                    zero,
-                );
-                let diff = _mm_sub_epi16(right, left);
-                _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, diff);
-                x += 8;
-            }
-        }
-        for xi in x..w {
-            let xm = xi.saturating_sub(1);
-            let xp = (xi + 1).min(w - 1);
-            dst[xi] = src[xp] as i16 - src[xm] as i16;
-        }
-    }
+    h_diff_row_sse2::<crate::sse2::Arch>(src, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        h_diff_row_scalar(src, dst);
-    }
+    h_diff_row_scalar(src, dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +149,7 @@ fn h_diff_row_native(src: &[u8], dst: &mut [i16]) {
 pub fn h_smooth_row(src: &[u8], dst: &mut [i16], engine: Engine) {
     match engine {
         Engine::Scalar | Engine::Autovec => h_smooth_row_scalar(src, dst),
-        Engine::Sse2Sim => h_smooth_row_sse2_sim(src, dst),
+        Engine::Sse2Sim => h_smooth_row_sse2::<Sim>(src, dst),
         Engine::NeonSim => h_smooth_row_neon_sim(src, dst),
         Engine::Native => h_smooth_row_native(src, dst),
     }
@@ -196,8 +168,10 @@ pub fn h_smooth_row_scalar(src: &[u8], dst: &mut [i16]) {
     }
 }
 
-fn h_smooth_row_sse2_sim(src: &[u8], dst: &mut [i16]) {
-    use sse_sim::*;
+/// SSE2 horizontal smoothing over the [`Sse2`] surface: three 8-byte loads,
+/// widened, `left + right + (mid << 1)`.
+#[inline(always)]
+fn h_smooth_row_sse2<S: Sse2>(src: &[u8], dst: &mut [i16]) {
     assert_eq!(src.len(), dst.len());
     let w = src.len();
     if w < 10 {
@@ -205,14 +179,18 @@ fn h_smooth_row_sse2_sim(src: &[u8], dst: &mut [i16]) {
         return;
     }
     dst[0] = 3 * src[0] as i16 + src[1] as i16;
-    let zero = _mm_setzero_si128();
+    let zero = S::_mm_setzero_si128();
     let mut x = 1;
     while x + 8 < w {
-        let left = _mm_unpacklo_epi8(_mm_loadl_epi64(&src[x - 1..]), zero);
-        let mid = _mm_unpacklo_epi8(_mm_loadl_epi64(&src[x..]), zero);
-        let right = _mm_unpacklo_epi8(_mm_loadl_epi64(&src[x + 1..]), zero);
-        let sum = _mm_add_epi16(_mm_add_epi16(left, right), _mm_slli_epi16::<1>(mid));
-        _mm_storeu_si128(&mut dst[x..], sum);
+        // SAFETY: the bounds of h_diff_row_sse2; the middle load reads
+        // src[x..x+8] between them.
+        unsafe {
+            let left = S::_mm_unpacklo_epi8(S::_mm_loadl_epi64(src, x - 1), zero);
+            let mid = S::_mm_unpacklo_epi8(S::_mm_loadl_epi64(src, x), zero);
+            let right = S::_mm_unpacklo_epi8(S::_mm_loadl_epi64(src, x + 1), zero);
+            let sum = S::_mm_add_epi16(S::_mm_add_epi16(left, right), S::_mm_slli_epi16::<1>(mid));
+            S::_mm_storeu_si128(dst, x, sum);
+        }
         x += 8;
     }
     for xi in x..w {
@@ -247,47 +225,12 @@ fn h_smooth_row_neon_sim(src: &[u8], dst: &mut [i16]) {
     }
 }
 
+#[inline(never)] // own symbol, for the `asm` CI stage
 fn h_smooth_row_native(src: &[u8], dst: &mut [i16]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        assert_eq!(src.len(), dst.len());
-        let w = src.len();
-        if w < 10 {
-            h_smooth_row_scalar(src, dst);
-            return;
-        }
-        dst[0] = 3 * src[0] as i16 + src[1] as i16;
-        let mut x = 1;
-        // SAFETY: identical bounds reasoning to h_diff_row_native.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            while x + 8 < w {
-                let left = _mm_unpacklo_epi8(
-                    _mm_loadl_epi64(src.as_ptr().add(x - 1) as *const __m128i),
-                    zero,
-                );
-                let mid =
-                    _mm_unpacklo_epi8(_mm_loadl_epi64(src.as_ptr().add(x) as *const __m128i), zero);
-                let right = _mm_unpacklo_epi8(
-                    _mm_loadl_epi64(src.as_ptr().add(x + 1) as *const __m128i),
-                    zero,
-                );
-                let sum = _mm_add_epi16(_mm_add_epi16(left, right), _mm_slli_epi16::<1>(mid));
-                _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, sum);
-                x += 8;
-            }
-        }
-        for xi in x..w {
-            let xm = xi.saturating_sub(1);
-            let xp = (xi + 1).min(w - 1);
-            dst[xi] = src[xm] as i16 + 2 * src[xi] as i16 + src[xp] as i16;
-        }
-    }
+    h_smooth_row_sse2::<crate::sse2::Arch>(src, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        h_smooth_row_scalar(src, dst);
-    }
+    h_smooth_row_scalar(src, dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -298,20 +241,7 @@ fn h_smooth_row_native(src: &[u8], dst: &mut [i16]) {
 pub fn v_smooth_row(above: &[i16], here: &[i16], below: &[i16], dst: &mut [i16], engine: Engine) {
     match engine {
         Engine::Scalar | Engine::Autovec => v_smooth_row_scalar(above, here, below, dst),
-        Engine::Sse2Sim => {
-            use sse_sim::*;
-            let w = dst.len();
-            let mut x = 0;
-            while x + 8 <= w {
-                let a = _mm_loadu_si128(&above[x..]);
-                let h = _mm_loadu_si128(&here[x..]);
-                let b = _mm_loadu_si128(&below[x..]);
-                let sum = _mm_add_epi16(_mm_add_epi16(a, b), _mm_slli_epi16::<1>(h));
-                _mm_storeu_si128(&mut dst[x..], sum);
-                x += 8;
-            }
-            v_smooth_row_scalar(&above[x..], &here[x..], &below[x..], &mut dst[x..]);
-        }
+        Engine::Sse2Sim => v_smooth_row_sse2::<Sim>(above, here, below, dst),
         Engine::NeonSim => {
             use neon_sim::*;
             let w = dst.len();
@@ -336,49 +266,40 @@ fn v_smooth_row_scalar(above: &[i16], here: &[i16], below: &[i16], dst: &mut [i1
     }
 }
 
+/// SSE2 vertical smoothing over the [`Sse2`] surface.
+#[inline(always)]
+fn v_smooth_row_sse2<S: Sse2>(above: &[i16], here: &[i16], below: &[i16], dst: &mut [i16]) {
+    let w = dst.len();
+    assert!(above.len() >= w && here.len() >= w && below.len() >= w);
+    let mut x = 0;
+    while x + 8 <= w {
+        // SAFETY: every load and the store cover [x, x+8) with x + 8 <= w,
+        // on slices of length >= w (asserted above).
+        unsafe {
+            let a = S::_mm_loadu_si128(above, x);
+            let h = S::_mm_loadu_si128(here, x);
+            let b = S::_mm_loadu_si128(below, x);
+            let sum = S::_mm_add_epi16(S::_mm_add_epi16(a, b), S::_mm_slli_epi16::<1>(h));
+            S::_mm_storeu_si128(dst, x, sum);
+        }
+        x += 8;
+    }
+    v_smooth_row_scalar(&above[x..w], &here[x..w], &below[x..w], &mut dst[x..]);
+}
+
+#[inline(never)] // own symbol, for the `asm` CI stage
 fn v_smooth_row_native(above: &[i16], here: &[i16], below: &[i16], dst: &mut [i16]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        let w = dst.len();
-        assert!(above.len() >= w && here.len() >= w && below.len() >= w);
-        let mut x = 0;
-        // SAFETY: all loads/stores cover [x, x+8) <= w on slices of length
-        // >= w (asserted above).
-        unsafe {
-            while x + 8 <= w {
-                let a = _mm_loadu_si128(above.as_ptr().add(x) as *const __m128i);
-                let h = _mm_loadu_si128(here.as_ptr().add(x) as *const __m128i);
-                let b = _mm_loadu_si128(below.as_ptr().add(x) as *const __m128i);
-                let sum = _mm_add_epi16(_mm_add_epi16(a, b), _mm_slli_epi16::<1>(h));
-                _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, sum);
-                x += 8;
-            }
-        }
-        v_smooth_row_scalar(&above[x..w], &here[x..w], &below[x..w], &mut dst[x..]);
-    }
+    v_smooth_row_sse2::<crate::sse2::Arch>(above, here, below, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        v_smooth_row_scalar(above, here, below, dst);
-    }
+    v_smooth_row_scalar(above, here, below, dst);
 }
 
 /// Vertical `[-1, 0, 1]`: `dst = below - above`.
 pub fn v_diff_row(above: &[i16], below: &[i16], dst: &mut [i16], engine: Engine) {
     match engine {
         Engine::Scalar | Engine::Autovec => v_diff_row_scalar(above, below, dst),
-        Engine::Sse2Sim => {
-            use sse_sim::*;
-            let w = dst.len();
-            let mut x = 0;
-            while x + 8 <= w {
-                let a = _mm_loadu_si128(&above[x..]);
-                let b = _mm_loadu_si128(&below[x..]);
-                _mm_storeu_si128(&mut dst[x..], _mm_sub_epi16(b, a));
-                x += 8;
-            }
-            v_diff_row_scalar(&above[x..], &below[x..], &mut dst[x..]);
-        }
+        Engine::Sse2Sim => v_diff_row_sse2::<Sim>(above, below, dst),
         Engine::NeonSim => {
             use neon_sim::*;
             let w = dst.len();
@@ -401,28 +322,30 @@ fn v_diff_row_scalar(above: &[i16], below: &[i16], dst: &mut [i16]) {
     }
 }
 
+/// SSE2 vertical difference over the [`Sse2`] surface.
+#[inline(always)]
+fn v_diff_row_sse2<S: Sse2>(above: &[i16], below: &[i16], dst: &mut [i16]) {
+    let w = dst.len();
+    assert!(above.len() >= w && below.len() >= w);
+    let mut x = 0;
+    while x + 8 <= w {
+        // SAFETY: the bounds of v_smooth_row_sse2.
+        unsafe {
+            let a = S::_mm_loadu_si128(above, x);
+            let b = S::_mm_loadu_si128(below, x);
+            S::_mm_storeu_si128(dst, x, S::_mm_sub_epi16(b, a));
+        }
+        x += 8;
+    }
+    v_diff_row_scalar(&above[x..w], &below[x..w], &mut dst[x..]);
+}
+
+#[inline(never)] // own symbol, for the `asm` CI stage
 fn v_diff_row_native(above: &[i16], below: &[i16], dst: &mut [i16]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        let w = dst.len();
-        assert!(above.len() >= w && below.len() >= w);
-        let mut x = 0;
-        // SAFETY: bounds as in v_smooth_row_native.
-        unsafe {
-            while x + 8 <= w {
-                let a = _mm_loadu_si128(above.as_ptr().add(x) as *const __m128i);
-                let b = _mm_loadu_si128(below.as_ptr().add(x) as *const __m128i);
-                _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, _mm_sub_epi16(b, a));
-                x += 8;
-            }
-        }
-        v_diff_row_scalar(&above[x..w], &below[x..w], &mut dst[x..]);
-    }
+    v_diff_row_sse2::<crate::sse2::Arch>(above, below, dst);
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        v_diff_row_scalar(above, below, dst);
-    }
+    v_diff_row_scalar(above, below, dst);
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 
 use crate::dispatch::Engine;
 use crate::error::{validate_pair, KernelResult};
+use crate::sse2::{Sim, Sse2};
 use pixelimage::Image;
 
 /// The five OpenCV threshold types. The paper's benchmark uses
@@ -107,7 +108,7 @@ pub fn threshold_row(
     match engine {
         Engine::Scalar => threshold_row_scalar(src, dst, thresh, maxval, ty),
         Engine::Autovec => threshold_row_autovec(src, dst, thresh, maxval, ty),
-        Engine::Sse2Sim => threshold_row_sse2_sim(src, dst, thresh, maxval, ty),
+        Engine::Sse2Sim => threshold_row_sse2::<Sim>(src, dst, thresh, maxval, ty),
         Engine::NeonSim => threshold_row_neon_sim(src, dst, thresh, maxval, ty),
         Engine::Native => threshold_row_native(src, dst, thresh, maxval, ty),
     }
@@ -160,40 +161,6 @@ pub fn threshold_row_autovec(
     }
 }
 
-/// The OpenCV SSE2 threshold loop: unsigned compare via the sign-flip trick,
-/// then mask arithmetic.
-pub fn threshold_row_sse2_sim(
-    src: &[u8],
-    dst: &mut [u8],
-    thresh: u8,
-    maxval: u8,
-    ty: ThresholdType,
-) {
-    use sse_sim::*;
-    assert_eq!(src.len(), dst.len());
-    let width = src.len();
-    let sign = _mm_set1_epi8(-128i8);
-    let thresh_s = _mm_xor_si128(_mm_set1_epi8(thresh as i8), sign);
-    let maxval_v = _mm_set1_epi8(maxval as i8);
-    let thresh_v = _mm_set1_epi8(thresh as i8);
-    let mut x = 0;
-    while x + 16 <= width {
-        let v = _mm_loadu_si128(&src[x..]);
-        let v_s = _mm_xor_si128(v, sign);
-        let gt = _mm_cmpgt_epi8(v_s, thresh_s); // mask: src > thresh
-        let out = match ty {
-            ThresholdType::Binary => _mm_and_si128(gt, maxval_v),
-            ThresholdType::BinaryInv => _mm_andnot_si128(gt, maxval_v),
-            ThresholdType::Trunc => _mm_min_epu8(v, thresh_v),
-            ThresholdType::ToZero => _mm_and_si128(gt, v),
-            ThresholdType::ToZeroInv => _mm_andnot_si128(gt, v),
-        };
-        _mm_storeu_si128(&mut dst[x..], out);
-        x += 16;
-    }
-    threshold_row_scalar(&src[x..], &mut dst[x..], thresh, maxval, ty);
-}
-
 /// The NEON threshold loop: direct unsigned compare plus bitwise select.
 pub fn threshold_row_neon_sim(
     src: &[u8],
@@ -226,53 +193,45 @@ pub fn threshold_row_neon_sim(
 }
 
 /// The hand-tuned loop on the host's real SIMD unit.
+#[inline(never)] // own symbol, for the `asm` CI stage
 pub fn threshold_row_native(src: &[u8], dst: &mut [u8], thresh: u8, maxval: u8, ty: ThresholdType) {
     #[cfg(target_arch = "x86_64")]
-    {
-        threshold_row_native_sse2(src, dst, thresh, maxval, ty);
-    }
+    threshold_row_sse2::<crate::sse2::Arch>(src, dst, thresh, maxval, ty);
     #[cfg(target_arch = "aarch64")]
-    {
-        threshold_row_native_neon(src, dst, thresh, maxval, ty);
-    }
+    threshold_row_native_neon(src, dst, thresh, maxval, ty);
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        threshold_row_autovec(src, dst, thresh, maxval, ty);
-    }
+    threshold_row_autovec(src, dst, thresh, maxval, ty);
 }
 
-/// OpenCV's `thresh_8u` shape: switch on the type once, then run one
-/// branch-free SSE2 loop per type (`threshold_sse2_body`).
-#[cfg(target_arch = "x86_64")]
-fn threshold_row_native_sse2(
+/// The OpenCV SSE2 threshold loop in `thresh_8u`'s shape, written once over
+/// the [`Sse2`] surface: switch on the type once, then run one branch-free
+/// loop per type ([`threshold_sse2_body`]).
+#[inline(always)]
+fn threshold_row_sse2<S: Sse2>(
     src: &[u8],
     dst: &mut [u8],
     thresh: u8,
     maxval: u8,
     ty: ThresholdType,
 ) {
-    use std::arch::x86_64::*;
     assert_eq!(src.len(), dst.len());
-    // SAFETY: SSE2 is baseline on x86_64; the body checks its own bounds.
-    let x = unsafe {
-        let maxval_v = _mm_set1_epi8(maxval as i8);
-        let thresh_v = _mm_set1_epi8(thresh as i8);
-        match ty {
-            ThresholdType::Binary => {
-                threshold_sse2_body(src, dst, thresh, |_, gt| _mm_and_si128(gt, maxval_v))
-            }
-            ThresholdType::BinaryInv => {
-                threshold_sse2_body(src, dst, thresh, |_, gt| _mm_andnot_si128(gt, maxval_v))
-            }
-            ThresholdType::Trunc => {
-                threshold_sse2_body(src, dst, thresh, |v, _| _mm_min_epu8(v, thresh_v))
-            }
-            ThresholdType::ToZero => {
-                threshold_sse2_body(src, dst, thresh, |v, gt| _mm_and_si128(gt, v))
-            }
-            ThresholdType::ToZeroInv => {
-                threshold_sse2_body(src, dst, thresh, |v, gt| _mm_andnot_si128(gt, v))
-            }
+    let maxval_v = S::_mm_set1_epi8(maxval as i8);
+    let thresh_v = S::_mm_set1_epi8(thresh as i8);
+    let x = match ty {
+        ThresholdType::Binary => {
+            threshold_sse2_body::<S>(src, dst, thresh, |_, gt| S::_mm_and_si128(gt, maxval_v))
+        }
+        ThresholdType::BinaryInv => {
+            threshold_sse2_body::<S>(src, dst, thresh, |_, gt| S::_mm_andnot_si128(gt, maxval_v))
+        }
+        ThresholdType::Trunc => {
+            threshold_sse2_body::<S>(src, dst, thresh, |v, _| S::_mm_min_epu8(v, thresh_v))
+        }
+        ThresholdType::ToZero => {
+            threshold_sse2_body::<S>(src, dst, thresh, |v, gt| S::_mm_and_si128(gt, v))
+        }
+        ThresholdType::ToZeroInv => {
+            threshold_sse2_body::<S>(src, dst, thresh, |v, gt| S::_mm_andnot_si128(gt, v))
         }
     };
     threshold_row_scalar(&src[x..], &mut dst[x..], thresh, maxval, ty);
@@ -281,31 +240,26 @@ fn threshold_row_native_sse2(
 /// The SSE2 threshold loop for one type: unsigned `src > thresh` via the
 /// sign-flip trick, then `select(v, gt)` on each 16-byte vector. Returns
 /// the first pixel it did not write.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn threshold_sse2_body(
+fn threshold_sse2_body<S: Sse2>(
     src: &[u8],
     dst: &mut [u8],
     thresh: u8,
-    select: impl Fn(
-        std::arch::x86_64::__m128i,
-        std::arch::x86_64::__m128i,
-    ) -> std::arch::x86_64::__m128i,
+    select: impl Fn(S::I, S::I) -> S::I,
 ) -> usize {
-    use std::arch::x86_64::*;
     let width = src.len().min(dst.len());
+    let sign = S::_mm_set1_epi8(-128i8);
+    let thresh_s = S::_mm_xor_si128(S::_mm_set1_epi8(thresh as i8), sign);
     let mut x = 0;
-    // SAFETY: loads read src[x..x+16], stores write dst[x..x+16]; the loop
-    // bound keeps both in range. SSE2 is baseline on x86_64.
-    unsafe {
-        let sign = _mm_set1_epi8(-128i8);
-        let thresh_s = _mm_xor_si128(_mm_set1_epi8(thresh as i8), sign);
-        while x + 16 <= width {
-            let v = _mm_loadu_si128(src.as_ptr().add(x) as *const __m128i);
-            let gt = _mm_cmpgt_epi8(_mm_xor_si128(v, sign), thresh_s);
-            _mm_storeu_si128(dst.as_mut_ptr().add(x) as *mut __m128i, select(v, gt));
-            x += 16;
+    while x + 16 <= width {
+        // SAFETY: the load reads src[x..x+16] and the store writes
+        // dst[x..x+16]; the loop bound keeps both in range.
+        unsafe {
+            let v = S::_mm_loadu_si128(src, x);
+            let gt = S::_mm_cmpgt_epi8(S::_mm_xor_si128(v, sign), thresh_s); // src > thresh
+            S::_mm_storeu_si128(dst, x, select(v, gt));
         }
+        x += 16;
     }
     x
 }

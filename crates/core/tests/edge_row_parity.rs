@@ -1,17 +1,20 @@
 //! Parity of the one-pass edge row with the two-pass scalar kernel.
 //!
-//! `edge_row_native` computes Sobel X, Sobel Y, the saturated L1 magnitude
-//! and the binary threshold in one pass over three source rows. These
-//! tests pin it bit for bit to `edge_row_scalar`, and the fused edge
-//! entry points (serial, and pool-parallel with 1-, 2- and 3-row bands)
-//! to `try_edge_detect(.., Engine::Scalar)`, over widths around the
-//! 16-pixel block, its 17-pixel load reach and the tail, every threshold
-//! edge case, and frames that hold the magnitude at 0, at its saturated
-//! range and everywhere between.
+//! The one-pass SSE2 edge row computes Sobel X, Sobel Y, the saturated L1
+//! magnitude and the binary threshold in one pass over three source rows.
+//! Both of its instances run here, `Engine::Native` (`core::arch`) and
+//! `Engine::Sse2Sim` (the traced sim, which also checks every load and
+//! store against its row). These tests pin each bit for bit to
+//! `edge_row_scalar`, and the fused edge entry points (serial, and
+//! pool-parallel with 1-, 2- and 3-row bands) to
+//! `try_edge_detect(.., Engine::Scalar)`, over widths around the 16-pixel
+//! block, its 17-pixel load reach and the tail, every threshold edge case,
+//! and frames that hold the magnitude at 0, at its saturated range and
+//! everywhere between.
 
 use pixelimage::Image;
 use simdbench_core::dispatch::Engine;
-use simdbench_core::edge::{edge_row_native, edge_row_scalar, try_edge_detect};
+use simdbench_core::edge::{edge_row_scalar, one_pass_edge_row, try_edge_detect};
 use simdbench_core::pipeline::{
     try_fused_edge_detect_with, try_par_fused_edge_detect_with, BandPlan,
 };
@@ -27,6 +30,9 @@ const HEIGHTS: [usize; 4] = [1, 2, 3, 37];
 /// 0 and 255 are the ends of the u8 range: 255 admits no pixel, so a
 /// compare on the unsaturated magnitude shows there.
 const THRESHOLDS: [u8; 5] = [0, 1, 96, 254, 255];
+
+/// The engines with a one-pass edge row: one SSE2 body, two instances.
+const ENGINES: [Engine; 2] = [Engine::Native, Engine::Sse2Sim];
 
 /// Deterministic byte noise (xorshift64*), so the tests need no RNG crate.
 fn noise(w: usize, h: usize, seed: u64) -> Image<u8> {
@@ -78,10 +84,13 @@ fn native_row_matches_scalar_row() {
             for thresh in THRESHOLDS {
                 let mut want = vec![0x5a; w];
                 edge_row_scalar(above, here, below, &mut want, thresh);
-                // A stale destination must be overwritten everywhere.
-                let mut got = vec![0x5a; w];
-                edge_row_native(above, here, below, &mut got, thresh);
-                assert_eq!(got, want, "rows {i} w={w} thresh={thresh}");
+                for engine in ENGINES {
+                    let edge_row = one_pass_edge_row(engine).expect("a one-pass engine");
+                    // A stale destination must be overwritten everywhere.
+                    let mut got = vec![0x5a; w];
+                    edge_row(above, here, below, &mut got, thresh);
+                    assert_eq!(got, want, "{engine:?} rows {i} w={w} thresh={thresh}");
+                }
             }
         }
     }
@@ -105,32 +114,30 @@ fn one_pass_rows_and_fused_kernels_match_two_pass_scalar() {
                     }
                     assert!(rowwise.pixels_eq(&want), "scalar rows {at}");
 
-                    let mut got = Image::new(w, h);
-                    try_fused_edge_detect_with(
-                        &src,
-                        &mut got,
-                        thresh,
-                        Engine::Native,
-                        &mut scratch,
-                    )
-                    .unwrap();
-                    assert!(got.pixels_eq(&want), "fused {at}");
-
-                    for band_rows in [1, 2, 3] {
-                        let plan = BandPlan {
-                            band_rows,
-                            threads: rayon::current_num_threads(),
-                        };
+                    for engine in ENGINES {
+                        // The sim costs about 2 µs per op in a debug build,
+                        // so it runs this matrix on one frame and threshold;
+                        // its row meets them all in the test above, and the
+                        // band geometry does not depend on the pixels.
+                        if engine == Engine::Sse2Sim && (name != "noise" || thresh != 96) {
+                            continue;
+                        }
                         let mut got = Image::new(w, h);
-                        try_par_fused_edge_detect_with(
-                            &src,
-                            &mut got,
-                            thresh,
-                            Engine::Native,
-                            &plan,
-                        )
-                        .unwrap();
-                        assert!(got.pixels_eq(&want), "par fused bands of {band_rows} {at}");
+                        try_fused_edge_detect_with(&src, &mut got, thresh, engine, &mut scratch)
+                            .unwrap();
+                        assert!(got.pixels_eq(&want), "{engine:?} fused {at}");
+
+                        for band_rows in [1, 2, 3] {
+                            let plan = BandPlan {
+                                band_rows,
+                                threads: rayon::current_num_threads(),
+                            };
+                            let mut got = Image::new(w, h);
+                            try_par_fused_edge_detect_with(&src, &mut got, thresh, engine, &plan)
+                                .unwrap();
+                            let bands = format!("bands of {band_rows}");
+                            assert!(got.pixels_eq(&want), "{engine:?} par fused {bands} {at}");
+                        }
                     }
                 }
             }

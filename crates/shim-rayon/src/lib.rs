@@ -96,8 +96,12 @@ thread_local! {
 
 /// The host's parallelism: the default width callers pass to
 /// [`for_each`], and the worker count [`broadcast`] and [`spawn`] ensure.
+///
+/// Read once per process: `available_parallelism` reads cgroup files on
+/// every call (14–16 µs on Linux), and `spawn` asks once per stream frame.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Index of the pool worker executing the current code, or `None` when

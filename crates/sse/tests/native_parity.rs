@@ -523,3 +523,50 @@ fn pd_ops_parity() {
         check_pd!(sse_sim::_mm_max_pd, native::_mm_max_pd);
     }
 }
+
+#[test]
+fn loadl_storel_epi64_parity() {
+    let mut rng = rng();
+    for _ in 0..TRIALS {
+        let src: [u8; 24] = std::array::from_fn(|_| rng.gen());
+        let at = rng.gen_range(0..17usize);
+        let sim = sim_si_out(sse_sim::_mm_loadl_epi64(&src[at..]));
+        let ptr = src[at..].as_ptr() as *const native::__m128i;
+        assert_eq!(sim, native_si_out(unsafe { native::_mm_loadl_epi64(ptr) }));
+        // The store writes 8 bytes and keeps the rest of the buffer.
+        let (v, stale): ([u8; 16], [u8; 24]) =
+            (rand_bytes(&mut rng), std::array::from_fn(|_| rng.gen()));
+        let (mut sim_dst, mut nat_dst) = (stale, stale);
+        sse_sim::_mm_storel_epi64(&mut sim_dst[at..], sim_si(v));
+        let ptr = nat_dst[at..].as_mut_ptr() as *mut native::__m128i;
+        unsafe { native::_mm_storel_epi64(ptr, native_si(v)) };
+        assert_eq!(sim_dst, nat_dst, "storel_epi64 at {at}");
+    }
+}
+
+#[test]
+fn set1_and_setzero_parity() {
+    let mut rng = rng();
+    for _ in 0..TRIALS {
+        let (b, h, w) = (rng.gen::<i8>(), rng.gen::<i16>(), rng.gen::<i32>());
+        let sim = [
+            sse_sim::_mm_set1_epi8(b),
+            sse_sim::_mm_set1_epi16(h),
+            sse_sim::_mm_set1_epi32(w),
+        ];
+        let nat = unsafe {
+            [
+                native::_mm_set1_epi8(b),
+                native::_mm_set1_epi16(h),
+                native::_mm_set1_epi32(w),
+            ]
+        };
+        assert_eq!(
+            sim.map(sim_si_out),
+            nat.map(native_si_out),
+            "set1 of {b} {h} {w}"
+        );
+    }
+    let zero = native_si_out(unsafe { native::_mm_setzero_si128() });
+    assert_eq!(sim_si_out(sse_sim::_mm_setzero_si128()), zero);
+}

@@ -25,13 +25,41 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(build pool-stress chaos-stress repeat stream-smoke telemetry test perfbench clippy fmt doc)
+STAGES=(build asm pool-stress chaos-stress repeat stream-smoke telemetry test perfbench clippy fmt doc)
 if [[ "${CI_PERF:-0}" == "1" ]]; then
   STAGES+=(perf)
 fi
 
 stage_build() {
   cargo build --release
+}
+
+# The Native HAND row symbols of the release `repro`: each is the
+# `core::arch` instance of one shared SSE2 body, with its own symbol.
+HAND_ROWS=(
+  convert::convert_row_native
+  threshold::threshold_row_native
+  gaussian::horizontal_row_native_taps
+  gaussian::vertical_row_native_taps
+  sobel::h_diff_row_native
+  sobel::h_smooth_row_native
+  sobel::v_smooth_row_native
+  sobel::v_diff_row_native
+  edge::magnitude_row_native
+  edge::edge_row_native
+  color::bgr_row_native
+  median::median_row3_native
+  resize::downsample_row_native
+)
+
+stage_asm() {
+  # Structural check of the shipped HAND loops, with objdump: each listed
+  # symbol must exist, and no innermost vector loop of it may hold a call
+  # or an indirect jump (an intrinsic that did not inline). Instruction
+  # counts are printed, never gated.
+  cargo build -q --release -p repro-harness --bin repro
+  python3 scripts/asm_loops.py "${CARGO_TARGET_DIR:-target}/release/repro" \
+    "${HAND_ROWS[@]/#/simdbench_core::}"
 }
 
 stage_pool_stress() {
